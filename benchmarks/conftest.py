@@ -5,31 +5,25 @@ the experiment itself (so ``pytest-benchmark`` reports how long the model
 takes), and the resulting rows are printed so the run log contains the same
 series the paper reports.  EXPERIMENTS.md records paper-vs-measured values.
 
-The crypto fast-path benchmarks additionally record their measured speedup
-factors into a machine-readable ``BENCH_fastpath.json`` (path overridable via
-``BENCH_FASTPATH_JSON``), the scheduling benchmarks record warm-affinity
-makespan ratios into ``BENCH_sched.json`` (``BENCH_SCHED_JSON``), and the
-observability overhead gate records its disabled/enabled ratios into
-``BENCH_obs.json`` (``BENCH_OBS_JSON``), and the async serving benchmarks
-record concurrent-vs-sync throughput and latency percentiles into
-``BENCH_serve.json`` (``BENCH_SERVE_JSON``), and the vectorized Merkle
-replay-protection gate records its scalar-vs-batched ratios into
-``BENCH_merkle.json`` (``BENCH_MERKLE_JSON``), and the shard-scale replay
-gate records its throughput, tail-wait, and utilization figures into
-``BENCH_shard.json`` (``BENCH_SHARD_JSON``); CI uploads all of these as
-workflow artifacts so the perf trajectory of the fast paths, the scheduler,
-the observability layer, and the request path is tracked across PRs.
+The gates additionally record their measurements through one writer,
+:func:`record_bench`, which merges named entries into ``BENCH_<stem>.json`` at
+the repo root: ``fastpath`` (crypto fast-path speedups), ``merkle``
+(vectorized Merkle replay protection), ``sched`` (warm-affinity makespan
+ratios, policy waits), ``obs`` (observability overhead), ``serve`` (async
+serving throughput and latency) and ``shard`` (shard-scale replay
+throughput, tail waits, utilization).  The files are git-ignored run outputs;
+CI uploads them as workflow artifacts so the perf trajectory is tracked
+across PRs.
 
 ``record_stage_percentiles`` stamps per-stage latency percentiles (from a
 live metrics registry's ``cloud.stage_seconds`` histograms) into any of the
-bench JSONs, so BENCH_sched/BENCH_fastpath entries carry stage timings
-alongside their headline ratios.
+bench JSONs, so entries can carry stage timings alongside their headline
+ratios.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -43,77 +37,18 @@ def random_bytes(seed: int, length: int) -> bytes:
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
-_BENCH_JSON = Path(
-    os.environ.get("BENCH_FASTPATH_JSON", _REPO_ROOT / "BENCH_fastpath.json")
-)
 
-_BENCH_SCHED_JSON = Path(
-    os.environ.get("BENCH_SCHED_JSON", _REPO_ROOT / "BENCH_sched.json")
-)
-
-
-def _merge_bench_entry(path: Path, name: str, entry: dict) -> None:
-    """Merge one named measurement into a machine-readable bench JSON."""
+def record_bench(stem: str, name: str, **fields) -> None:
+    """Merge one named measurement into ``BENCH_<stem>.json`` at the repo root."""
+    path = _REPO_ROOT / f"BENCH_{stem}.json"
     data = {}
     if path.exists():
         try:
             data = json.loads(path.read_text())
         except ValueError:
             data = {}
-    data[name] = entry
+    data[name] = fields
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def record_fastpath_speedup(name: str, speedup: float, **extra) -> None:
-    """Merge one fast-path speedup measurement into ``BENCH_fastpath.json``."""
-    entry = {"speedup": round(speedup, 2)}
-    entry.update(extra)
-    _merge_bench_entry(_BENCH_JSON, name, entry)
-
-
-def record_sched_metric(name: str, **fields) -> None:
-    """Merge one scheduling measurement into ``BENCH_sched.json``."""
-    _merge_bench_entry(_BENCH_SCHED_JSON, name, dict(fields))
-
-
-_BENCH_OBS_JSON = Path(
-    os.environ.get("BENCH_OBS_JSON", _REPO_ROOT / "BENCH_obs.json")
-)
-
-
-def record_obs_metric(name: str, **fields) -> None:
-    """Merge one observability measurement into ``BENCH_obs.json``."""
-    _merge_bench_entry(_BENCH_OBS_JSON, name, dict(fields))
-
-
-_BENCH_SERVE_JSON = Path(
-    os.environ.get("BENCH_SERVE_JSON", _REPO_ROOT / "BENCH_serve.json")
-)
-
-
-def record_serve_metric(name: str, **fields) -> None:
-    """Merge one serving-path measurement into ``BENCH_serve.json``."""
-    _merge_bench_entry(_BENCH_SERVE_JSON, name, dict(fields))
-
-
-_BENCH_MERKLE_JSON = Path(
-    os.environ.get("BENCH_MERKLE_JSON", _REPO_ROOT / "BENCH_merkle.json")
-)
-
-
-def record_merkle_metric(name: str, **fields) -> None:
-    """Merge one Merkle-datapath measurement into ``BENCH_merkle.json``."""
-    _merge_bench_entry(_BENCH_MERKLE_JSON, name, dict(fields))
-
-
-_BENCH_SHARD_JSON = Path(
-    os.environ.get("BENCH_SHARD_JSON", _REPO_ROOT / "BENCH_shard.json")
-)
-
-
-def record_shard_metric(name: str, **fields) -> None:
-    """Merge one shard-scale replay measurement into ``BENCH_shard.json``."""
-    _merge_bench_entry(_BENCH_SHARD_JSON, name, dict(fields))
 
 
 def stage_percentiles(metrics, stages=("shield_load", "input_seal", "execute")) -> dict:
@@ -135,15 +70,11 @@ def stage_percentiles(metrics, stages=("shield_load", "input_seal", "execute")) 
     return out
 
 
-def record_stage_percentiles(record_fn, name: str, metrics, **extra) -> None:
-    """Stamp per-stage timing percentiles into a bench JSON via ``record_fn``.
-
-    ``record_fn`` is one of :func:`record_sched_metric` /
-    :func:`record_fastpath_speedup`-style writers taking ``(name, **fields)``.
-    """
+def record_stage_percentiles(stem: str, name: str, metrics, **extra) -> None:
+    """Stamp per-stage timing percentiles into ``BENCH_<stem>.json``."""
     stages = stage_percentiles(metrics)
     if stages:
-        record_fn(name, stages=stages, **extra)
+        record_bench(stem, name, stages=stages, **extra)
 
 
 def crypto_percentiles(metrics) -> dict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 import repro.obs as obs_api
-from benchmarks.conftest import crypto_percentiles, random_bytes, record_fastpath_speedup
+from benchmarks.conftest import crypto_percentiles, random_bytes, record_bench
 from repro.core.config import EngineSetConfig, RegionConfig
 from repro.core.engines import MacEngine
 from repro.core.sealing import RegionSealer
@@ -72,9 +72,10 @@ def test_region_seal_unseal_with_macs_is_5x_faster_and_identical():
         f"\n1 MiB seal+unseal (AES + MAC tags): scalar {scalar_seconds:.2f}s, "
         f"fast {fast_seconds:.3f}s, speedup {speedup:.0f}x"
     )
-    record_fastpath_speedup(
+    record_bench(
+        "fastpath",
         "region_seal_unseal_1mib_with_macs",
-        speedup,
+        speedup=round(speedup, 2),
         scalar_seconds=round(scalar_seconds, 3),
         fast_seconds=round(fast_seconds, 4),
         stages=crypto_percentiles(obs.metrics),
@@ -118,9 +119,10 @@ def test_batched_hmac_engine_is_faster_and_identical():
         f"\n1 MiB of chunk MACs (HMAC): scalar {scalar_seconds:.2f}s, "
         f"fast {fast_seconds:.3f}s, speedup {speedup:.0f}x"
     )
-    record_fastpath_speedup(
+    record_bench(
+        "fastpath",
         "hmac_tag_many_1mib",
-        speedup,
+        speedup=round(speedup, 2),
         scalar_seconds=round(scalar_seconds, 3),
         fast_seconds=round(fast_seconds, 4),
     )
@@ -151,9 +153,10 @@ def test_batched_pmac_engine_is_faster_and_identical():
         f"\n256 KiB of chunk MACs (PMAC): scalar {scalar_seconds:.2f}s, "
         f"fast {fast_seconds:.3f}s, speedup {speedup:.0f}x"
     )
-    record_fastpath_speedup(
+    record_bench(
+        "fastpath",
         "pmac_tag_many_256kib",
-        speedup,
+        speedup=round(speedup, 2),
         scalar_seconds=round(scalar_seconds, 3),
         fast_seconds=round(fast_seconds, 4),
     )

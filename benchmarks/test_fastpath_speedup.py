@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import random_bytes, record_fastpath_speedup
+from benchmarks.conftest import random_bytes, record_bench
 from repro.core.engines import AesEngine
 
 REGION_BYTES = 1 << 20
@@ -68,9 +68,10 @@ def test_vectorized_round_trip_is_5x_faster_and_identical():
         f"\n1 MiB round-trip: scalar {scalar_seconds:.2f}s, "
         f"fast {fast_seconds:.3f}s, speedup {speedup:.0f}x"
     )
-    record_fastpath_speedup(
+    record_bench(
+        "fastpath",
         "aes_ctr_1mib_round_trip",
-        speedup,
+        speedup=round(speedup, 2),
         scalar_seconds=round(scalar_seconds, 3),
         fast_seconds=round(fast_seconds, 4),
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import record_merkle_metric
+from benchmarks.conftest import record_bench
 from repro.core.merkle import BonsaiMerkleCounterTree
 from repro.hw.axi import AxiPort, memory_backed_handler
 from repro.hw.memory import DeviceMemory
@@ -95,7 +95,8 @@ def test_vectorized_merkle_is_5x_faster_and_identical():
         f"fast {fast_seconds:.3f}s, speedup {speedup:.0f}x "
         f"(build {build_speedup:.0f}x, access {access_speedup:.0f}x)"
     )
-    record_merkle_metric(
+    record_bench(
+        "merkle",
         "merkle_4096_chunk_tree",
         speedup=round(speedup, 2),
         build_speedup=round(build_speedup, 2),

@@ -29,7 +29,7 @@ import gc
 import time
 
 import repro.obs as obs_api
-from benchmarks.conftest import record_obs_metric
+from benchmarks.conftest import record_bench
 from repro.sim.cloud import CloudSimulator, repeated_tenant_trace
 
 NUM_JOBS = 400
@@ -100,7 +100,8 @@ def test_observability_overhead_within_budget():
         f"disabled {disabled_ratio:.3f}x, enabled {enabled_ratio:.3f}x "
         f"= {enabled_us_per_job:.2f} us/job ({events_per_replay} events/replay)"
     )
-    record_obs_metric(
+    record_bench(
+        "obs",
         "sim_replay_overhead",
         baseline_ms=round(baseline_s * 1e3, 3),
         disabled_ratio=round(disabled_ratio, 3),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import record_sched_metric, stage_percentiles
+from benchmarks.conftest import record_bench, stage_percentiles
 from repro.sim.cloud import CloudSimulator, repeated_tenant_trace
 
 NUM_JOBS = 12
@@ -44,7 +44,8 @@ def test_affinity_makespan_ratio_on_repeated_tenant_trace():
         f"makespan ratio {ratio:.1f}x "
         f"(hit rate {warm.metadata['affinity_hit_rate']:.0%})"
     )
-    record_sched_metric(
+    record_bench(
+        "sched",
         "repeated_tenant_makespan_ratio",
         ratio=round(ratio, 2),
         makespan_cold_s=cold_makespan,
@@ -89,7 +90,7 @@ def test_policy_zoo_mean_waits_recorded():
         result = CloudSimulator(num_boards=2, policy=policy).replay_experiment(trace)
         waits[policy] = result.metadata["mean_wait_s"]
     print(f"\nmean wait by policy (s): {waits}")
-    record_sched_metric("policy_mean_wait_s", **waits)
+    record_bench("sched", "policy_mean_wait_s", **waits)
     assert all(wait >= 0 for wait in waits.values())
     assert waits["fifo"] != waits["priority"], (
         "the comparison trace must differentiate the priority policy from FIFO"
@@ -118,6 +119,6 @@ def test_functional_stage_timings_recorded():
         stages=("shield_load", "input_seal", "execute", "download", "output_unseal"),
     )
     print(f"\nfunctional per-stage timings: {stages}")
-    record_sched_metric("functional_stage_seconds", **stages)
+    record_bench("sched", "functional_stage_seconds", **stages)
     assert service.stats.jobs_completed == 4
     assert {"shield_load", "input_seal", "execute"} <= set(stages)

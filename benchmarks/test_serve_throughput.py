@@ -22,7 +22,7 @@ import asyncio
 import time
 
 import repro.obs as obs_api
-from benchmarks.conftest import record_serve_metric
+from benchmarks.conftest import record_bench
 from repro.accelerators import VectorAddAccelerator
 from repro.cloud import JobState, ShieldCloudService
 from repro.obs.stats import summarize
@@ -128,7 +128,8 @@ def test_concurrent_throughput_beats_sync_drain():
     speedup = async_jobs_per_s / sync_jobs_per_s
     sync_p99 = summarize(sync_latencies)["p99"]
     async_p99 = summarize(async_latencies)["p99"]
-    record_serve_metric(
+    record_bench(
+        "serve",
         "concurrent_throughput",
         boards=NUM_BOARDS,
         jobs=total_jobs,
@@ -191,7 +192,8 @@ def test_backpressure_events_reach_the_trace_stream():
         event.attrs["outcome"] for event in handle.tracer.spans("enqueue")
     ]
     assert set(enqueue_outcomes) & {"ratelimited", "shed"}
-    record_serve_metric(
+    record_bench(
+        "serve",
         "backpressure_visibility",
         submitted=len(jobs),
         completed=sum(1 for job in jobs if job.state is JobState.COMPLETED),

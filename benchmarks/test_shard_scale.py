@@ -7,12 +7,12 @@ board index, and zero-overhead untraced path exist so replay stays *linear*
 at six-figure job counts; this benchmark proves it end-to-end through the
 sharded driver: generate a 10^5-job Poisson trace, route it across 8 shard
 fleets with the consistent-hash :class:`~repro.cloud.shard.ShardRouter`, and
-replay every shard on its own worker.  The gate demands a per-job replay
+replay every shard on its own simulator.  The gate demands a per-job replay
 rate >= 10x the seed anchor; the full report (p50/p99/p999 wait, per-shard
 utilization, affinity hit-rate, throughput) lands in ``BENCH_shard.json``.
 
 ``SHARD_BENCH_JOBS`` / ``SHARD_BENCH_SHARDS`` shrink the trace for CI's
-quick-bench smoke (the committed artifact comes from a full-size run).
+quick-bench smoke.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import time
 
-from benchmarks.conftest import record_shard_metric
+from benchmarks.conftest import record_bench
 from repro.cloud.shard import QueueDepthAutoscaler, replay_sharded
 from repro.sim.traces import generate_trace
 
@@ -39,8 +39,8 @@ def test_shard_scale_replay_rate_gate():
         NUM_JOBS, seed=42, arrival="poisson", rate_jobs_per_s=200.0
     )
     # Two timed runs, best-of: the first pays one-time costs (pricing-cache
-    # fills, thread-pool spin-up) that are noise against a >=10^5-job trace
-    # but dominate a reduced CI smoke run.
+    # fills, imports) that are noise against a >=10^5-job trace but dominate
+    # a reduced CI smoke run.
     wall = report = None
     for _ in range(2):
         start = time.perf_counter()
@@ -48,7 +48,6 @@ def test_shard_scale_replay_rate_gate():
             trace,
             num_shards=NUM_SHARDS,
             boards_per_shard=BOARDS_PER_SHARD,
-            executor="thread",
         )
         elapsed = time.perf_counter() - start
         if wall is None or elapsed < wall:
@@ -74,12 +73,12 @@ def test_shard_scale_replay_rate_gate():
         f"affinity hit rate {report.affinity_hit_rate:.1%}, "
         f"utilization {utilization}"
     )
-    record_shard_metric(
+    record_bench(
+        "shard",
         "shard_scale_replay",
         jobs=report.jobs,
         shards=len(report.shard_stats),
         boards_per_shard=BOARDS_PER_SHARD,
-        executor=report.executor,
         wall_s=round(wall, 4),
         jobs_per_sec=round(report.jobs / wall, 1),
         per_job_us=round(per_job_us, 2),
@@ -132,7 +131,8 @@ def test_autoscaled_heavy_tail_replay_recorded():
         f"{scale_events} scale events, final boards {final_boards}, "
         f"p99 wait {report.wait_percentile(99.0):.1f}s"
     )
-    record_shard_metric(
+    record_bench(
+        "shard",
         "autoscaled_heavy_tail",
         jobs=report.jobs,
         shards=len(report.shard_stats),

@@ -20,7 +20,7 @@ Three subcommands cover the common workflows without writing any Python:
 * ``shard-replay`` -- generate a large synthetic trace (Poisson, diurnal, or
   heavy-tailed arrivals; Zipf tenant popularity) and replay it across N shard
   fleets behind the consistent-hash :class:`~repro.cloud.shard.ShardRouter`,
-  one simulator worker per shard, optionally with the queue-depth autoscaler;
+  one simulator per shard, optionally with the queue-depth autoscaler;
 * ``trace-report`` -- render per-stage latency percentiles and per-tenant
   breakdowns from a JSONL trace written by ``--trace``;
 * ``list`` -- enumerate the available accelerators, experiments, and board
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard_parser = subparsers.add_parser(
         "shard-replay",
         help="replay a generated large-scale trace across N shard fleets "
-        "(consistent-hash session routing, one simulator worker per shard)",
+        "(consistent-hash session routing, one simulator per shard)",
     )
     shard_parser.add_argument(
         "--shards", type=int, default=8, help="number of shard fleets"
@@ -218,12 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_parser.add_argument(
         "--rate", type=float, default=200.0,
         help="mean arrival rate of the generated trace (jobs/s)",
-    )
-    shard_parser.add_argument(
-        "--workers",
-        choices=["thread", "process", "serial"],
-        default="thread",
-        help="executor running the per-shard replay workers",
     )
     shard_parser.add_argument(
         "--autoscale-max", type=int, default=None, metavar="N",
@@ -606,14 +600,13 @@ def run_shard_replay(args: argparse.Namespace, out=sys.stdout) -> int:
         boards_per_shard=args.boards_per_shard,
         policy=args.policy,
         affinity=not args.no_affinity,
-        executor=args.workers,
         autoscaler_factory=autoscaler_factory,
     )
     wall = time.perf_counter() - started
     print(render_experiment(report.to_experiment()), file=out)
     print(file=out)
-    print(f"replayed          : {report.jobs} jobs / {len(report.shard_stats)} "
-          f"shards ({args.workers} workers)", file=out)
+    print(f"replayed          : {report.jobs} jobs / {len(report.shard_stats)} shards",
+          file=out)
     print(f"wall time         : {wall:.2f} s "
           f"({report.jobs / wall:.0f} jobs/s, "
           f"{wall / report.jobs * 1e6:.1f} us/job)", file=out)

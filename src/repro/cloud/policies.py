@@ -650,14 +650,6 @@ class BoardIndex:
         if session is not None:
             heapq.heappush(self._warm.setdefault(session, []), (stamp, name))
 
-    def set_resident(self, name, session) -> None:
-        """Record the board's resident Shield (``None`` evicts)."""
-        self.resident[name] = session
-        if session is not None and name in self._free:
-            heapq.heappush(
-                self._warm.setdefault(session, []), (self._free[name], name)
-            )
-
     def discard(self, name) -> None:
         """Drop a free (autoscaled-out) board from the pool entirely."""
         if self._free.pop(name, None) is None:

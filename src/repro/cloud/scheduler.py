@@ -190,9 +190,6 @@ class FleetScheduler:
     def pending_jobs(self) -> int:
         return len(self._queue)
 
-    def pending_for_tenant(self, tenant: str) -> int:
-        return self._queue.pending_for(tenant)
-
     @property
     def free_boards(self) -> int:
         return len(self._boards)

@@ -20,9 +20,8 @@ so this module adds the scale-out layer:
   watermark and drains idle boards (longest idle first -- busy boards are
   never revoked) once the backlog falls below the low watermark.
 * :func:`replay_sharded` -- the multi-fleet replay driver: partition a trace
-  by routed session, replay every shard on its own
-  :class:`~repro.sim.cloud.CloudSimulator` via ``concurrent.futures`` (one
-  worker per shard), and merge the per-shard
+  by routed session, replay every shard in turn on its own
+  :class:`~repro.sim.cloud.CloudSimulator`, and merge the per-shard
   :class:`~repro.sim.cloud.ReplayStats` into a single
   :class:`ShardReplayReport` with *global* tail percentiles.
 
@@ -37,10 +36,9 @@ import bisect
 import hashlib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.analysis.annotations import executor_side, loop_owned
+from repro.analysis.annotations import loop_owned
 from repro.errors import ShardingError
 from repro.obs.stats import percentile
 from repro.sim.results import ExperimentResult
@@ -241,13 +239,6 @@ class ShardRouter:
     def draining_shards(self) -> list:
         return sorted(self._draining, key=str)
 
-    def assignment_counts(self) -> dict:
-        """shard -> number of sessions currently pinned to it."""
-        counts = {shard: 0 for shard in self._shards}
-        for owner in self._assignments.values():
-            counts[owner] = counts.get(owner, 0) + 1
-        return counts
-
     def __len__(self) -> int:
         return len(self._shards)
 
@@ -265,8 +256,7 @@ class QueueDepthAutoscaler:
     shrinking is drain-only -- the simulator revokes idle boards, longest
     idle first, and a busy board simply finishes its work and falls idle
     before a later consult can retire it.  The cooldown gates scaling in
-    *modelled* seconds, so decisions replay identically across runs and
-    executors.
+    *modelled* seconds, so decisions replay identically across runs.
     """
 
     min_boards: int = 1
@@ -321,39 +311,6 @@ def partition_trace(trace: list, router: ShardRouter) -> dict:
     return shard_traces
 
 
-class _DefaultSimulatorFactory:
-    """Picklable default simulator factory (process workers can't unpickle a
-    closure, and every shard needs its *own* simulator so worker state never
-    crosses shard boundaries)."""
-
-    def __init__(self, boards_per_shard: int, policy, affinity: bool):
-        self.boards_per_shard = boards_per_shard
-        self.policy = policy
-        self.affinity = affinity
-
-    def __call__(self, shard_id):
-        from repro.sim.cloud import CloudSimulator
-
-        return CloudSimulator(
-            num_boards=self.boards_per_shard,
-            policy=self.policy,
-            affinity=self.affinity,
-        )
-
-
-@executor_side
-def _replay_one_shard(shard_id, events, simulator_factory, autoscaler):
-    """Worker body: replay one shard's trace on its own simulator.
-
-    Runs on an executor worker (thread or process).  Everything it touches
-    is shard-private -- the simulator, the policy queue, and the board index
-    are constructed here and die here; results flow back only through the
-    returned :class:`~repro.sim.cloud.ReplayStats`.
-    """
-    simulator = simulator_factory(shard_id)
-    return shard_id, simulator.replay_stats(events, autoscaler=autoscaler)
-
-
 @dataclass
 class ShardReplayReport:
     """Merged outcome of a multi-shard replay.
@@ -368,7 +325,6 @@ class ShardReplayReport:
     shard_jobs: dict
     boards_per_shard: int
     policy: str
-    executor: str
     wall_s: float
 
     @property
@@ -390,7 +346,7 @@ class ShardReplayReport:
 
     @property
     def makespan_s(self) -> float:
-        """Modelled makespan: shards replay concurrently, so the max."""
+        """Modelled makespan: the shard fleets run side by side, so the max."""
         if not self.shard_stats:
             return 0.0
         return max(stats.makespan_s for stats in self.shard_stats.values())
@@ -399,11 +355,6 @@ class ShardReplayReport:
     def jobs_per_sec(self) -> float:
         """Replay throughput (jobs over driver wall-clock seconds)."""
         return self.jobs / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def seconds_per_job(self) -> float:
-        jobs = self.jobs
-        return self.wall_s / jobs if jobs else 0.0
 
     def wait_percentile(self, q: float) -> float:
         """Global wait percentile over every shard's per-job waits."""
@@ -424,14 +375,12 @@ class ShardReplayReport:
             experiment_id=experiment_id,
             description=(
                 f"{self.jobs} jobs across {len(self.shard_stats)} shards x "
-                f"{self.boards_per_shard} boards ({self.policy} policy, "
-                f"{self.executor} workers)"
+                f"{self.boards_per_shard} boards ({self.policy} policy)"
             ),
             metadata={
                 "shards": len(self.shard_stats),
                 "boards_per_shard": self.boards_per_shard,
                 "policy": self.policy,
-                "executor": self.executor,
                 "jobs": self.jobs,
                 "makespan_s": round(self.makespan_s, 3),
                 "wall_s": round(self.wall_s, 4),
@@ -462,67 +411,38 @@ def replay_sharded(
     trace: list,
     num_shards: int = 8,
     boards_per_shard: int = 4,
-    router: ShardRouter | None = None,
     policy="fifo",
     affinity: bool = True,
-    executor: str = "thread",
-    max_workers: int | None = None,
     autoscaler_factory=None,
-    simulator_factory=None,
 ) -> ShardReplayReport:
-    """Replay a trace across N shard fleets, one worker per shard.
+    """Replay a trace across N shard fleets, one shard after another.
 
-    ``router`` defaults to a fresh :class:`ShardRouter` over shards
-    ``0..num_shards-1``; pass one to reuse pinned assignments across calls.
-    ``executor`` is ``"thread"`` (default -- the replay is cheap enough that
-    process spawn + trace pickling costs more than the GIL does),
-    ``"process"`` (true parallelism for very heavy per-shard models), or
-    ``"serial"`` (in-line, for debugging and deterministic profiles).
+    Sessions are routed by a fresh :class:`ShardRouter` over shards
+    ``0..num_shards-1``, and every shard replays on its own
+    :class:`~repro.sim.cloud.CloudSimulator` on the caller's thread (the
+    replay is pure Python, so the GIL serialises a thread pool, and a
+    process pool measured no faster; see ``docs/sharding.md``).
     ``autoscaler_factory(shard_id)`` builds one autoscaler per shard (state
-    is per-fleet, so instances must not be shared); ``simulator_factory``
-    overrides simulator construction entirely (same signature).
+    is per-fleet, so instances must not be shared).
     """
-    if executor not in ("thread", "process", "serial"):
-        raise ShardingError(f"unknown executor {executor!r}")
-    if router is None:
-        router = ShardRouter(range(num_shards))
-    if simulator_factory is None:
-        simulator_factory = _DefaultSimulatorFactory(boards_per_shard, policy, affinity)
-    shard_traces = partition_trace(trace, router)
-    autoscalers = {
-        shard: autoscaler_factory(shard) if autoscaler_factory else None
-        for shard in shard_traces
-    }
+    # Imported here: repro.sim.cloud imports repro.cloud.policies, whose
+    # package imports this module.
+    from repro.sim.cloud import CloudSimulator
+
+    shard_traces = partition_trace(trace, ShardRouter(range(num_shards)))
     started = time.perf_counter()
     shard_stats: dict = {}
-    if executor == "serial":
-        for shard, events in shard_traces.items():
-            shard_stats[shard] = _replay_one_shard(
-                shard, events, simulator_factory, autoscalers[shard]
-            )[1]
-    else:
-        pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-        workers = max_workers or len(shard_traces)
-        with pool_cls(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _replay_one_shard,
-                    shard,
-                    events,
-                    simulator_factory,
-                    autoscalers[shard],
-                )
-                for shard, events in shard_traces.items()
-            ]
-            for future in futures:
-                shard, stats = future.result()
-                shard_stats[shard] = stats
+    for shard, events in shard_traces.items():
+        simulator = CloudSimulator(
+            num_boards=boards_per_shard, policy=policy, affinity=affinity
+        )
+        autoscaler = autoscaler_factory(shard) if autoscaler_factory else None
+        shard_stats[shard] = simulator.replay_stats(events, autoscaler=autoscaler)
     wall = time.perf_counter() - started
     return ShardReplayReport(
         shard_stats=shard_stats,
         shard_jobs={shard: len(events) for shard, events in shard_traces.items()},
         boards_per_shard=boards_per_shard,
         policy=str(policy),
-        executor=executor,
         wall_s=wall,
     )

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from repro.crypto.fasthash import BatchedMac
 from repro.crypto.fastpath import fast_path_enabled
-from repro.crypto.hashes import sha256
 from repro.crypto.mac import hmac_sha256
 from repro.errors import ReplayError, ShieldError
 from repro.hw.axi import AxiPort
@@ -496,8 +495,3 @@ def merkle_extra_dram_bytes(num_chunks: int, arity: int = 8, writes_fraction: fl
         + max(depth - 2, 0) * NODE_BYTES     # interior node writes (root is on-chip)
     )
     return (1 - writes_fraction) * read_bytes + writes_fraction * write_bytes
-
-
-def sha256_node(data: bytes) -> bytes:
-    """Hash helper exposed for tests that hand-build expected tree nodes."""
-    return sha256(data)

@@ -402,56 +402,53 @@ class CloudSimulator:
         self, trace: list, experiment_id: str = "cloud-trace"
     ) -> ExperimentResult:
         """Replay and package the outcome as a renderable/exportable experiment."""
-        records = self.replay(trace)
-        if not records:
+        rows: list = []
+        stats = self._replay(trace, None, rows)
+        if not stats.jobs:
             raise SimulationError("cannot replay an empty trace")
-        makespan = max(r.finish_s for r in records)
-        busy = sum(r.service_s for r in records)
-        warm_hits = sum(1 for r in records if r.warm)
-        waits = [r.wait_s for r in records]
+        busy = sum(stats.board_busy_s.values())
         tenant_fairness = {}
-        for record in records:
-            entry = tenant_fairness.setdefault(record.tenant, {"jobs": 0, "busy_s": 0.0})
+        for event, _, start, finish, _, _ in rows:
+            entry = tenant_fairness.setdefault(event.tenant, {"jobs": 0, "busy_s": 0.0})
             entry["jobs"] += 1
-            entry["busy_s"] += record.service_s
+            entry["busy_s"] += finish - start
         for entry in tenant_fairness.values():
             entry["busy_s"] = round(entry["busy_s"], 3)
             entry["service_share"] = round(entry["busy_s"] / busy, 3) if busy else 0.0
+        policy = make_policy(self.policy).name
         result = ExperimentResult(
             experiment_id=experiment_id,
             description=(
-                f"{len(records)} jobs from "
-                f"{len({r.tenant for r in records})} tenants on "
-                f"{self.num_boards} boards "
-                f"({make_policy(self.policy).name} policy, "
+                f"{stats.jobs} jobs from {len(tenant_fairness)} tenants on "
+                f"{self.num_boards} boards ({policy} policy, "
                 f"affinity {'on' if self.affinity else 'off'})"
             ),
             metadata={
                 "num_boards": self.num_boards,
-                "policy": make_policy(self.policy).name,
+                "policy": policy,
                 "affinity": self.affinity,
-                "makespan_s": round(makespan, 3),
-                "board_utilization": round(busy / (self.num_boards * makespan), 3),
-                "mean_wait_s": round(sum(waits) / len(records), 3),
-                "wait_p50_s": round(percentile(waits, 50.0), 3),
-                "wait_p99_s": round(percentile(waits, 99.0), 3),
-                "shield_loads": len(records) - warm_hits,
-                "affinity_hits": warm_hits,
-                "affinity_hit_rate": round(warm_hits / len(records), 3),
+                "makespan_s": round(stats.makespan_s, 3),
+                "board_utilization": round(stats.utilization, 3),
+                "mean_wait_s": round(sum(stats.waits) / stats.jobs, 3),
+                "wait_p50_s": round(stats.wait_percentile(50.0), 3),
+                "wait_p99_s": round(stats.wait_percentile(99.0), 3),
+                "shield_loads": stats.shield_loads,
+                "affinity_hits": stats.warm_hits,
+                "affinity_hit_rate": round(stats.affinity_hit_rate, 3),
                 "tenant_fairness": tenant_fairness,
             },
         )
-        for record in records:
+        for event, board, start, finish, warm, load in rows:
             result.add_row(
-                tenant=record.tenant,
-                workload=record.workload,
-                board=record.board,
-                warm=record.warm,
-                arrival_s=round(record.arrival_s, 3),
-                wait_s=round(record.wait_s, 3),
-                load_s=round(record.load_s, 3),
-                service_s=round(record.service_s, 3),
-                turnaround_s=round(record.turnaround_s, 3),
+                tenant=event.tenant,
+                workload=event.profile.name,
+                board=board,
+                warm=warm,
+                arrival_s=round(event.arrival_s, 3),
+                wait_s=round(start - event.arrival_s, 3),
+                load_s=round(load, 3),
+                service_s=round(finish - start, 3),
+                turnaround_s=round(finish - event.arrival_s, 3),
             )
         return result
 

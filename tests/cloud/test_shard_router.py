@@ -6,14 +6,20 @@ the key space *balanced* (every shard gets within tolerance of 1/N of the
 sessions), and ring edits are *minimally disruptive* (adding or removing one
 of N shards remaps ~1/N of the sessions, never an unrelated one).  On top of
 the ring, the sticky-assignment layer, drain/rebalance semantics, the
-queue-depth autoscaler's grow/drain/cooldown rules, and the multi-shard
-replay driver's merge are covered.
+queue-depth autoscaler's grow/drain/cooldown rules, the multi-shard
+replay's merge, determinism and trace stream, and the ``shard-replay`` CLI
+are covered.
 """
 
 from __future__ import annotations
 
+import io
+from collections import Counter
+
 import pytest
 
+import repro.obs as obs_api
+from repro.cli import main
 from repro.cloud.shard import (
     QueueDepthAutoscaler,
     ShardRouter,
@@ -21,6 +27,7 @@ from repro.cloud.shard import (
     replay_sharded,
 )
 from repro.errors import ShardingError
+from repro.obs import JOB_STAGES
 from repro.sim.traces import generate_trace
 
 NUM_SESSIONS = 8000
@@ -180,7 +187,7 @@ def test_autoscaled_replay_grows_fleet_and_never_revokes_busy_boards():
     trace = generate_trace(4000, seed=3, arrival="heavy_tailed",
                            rate_jobs_per_s=100.0)
     report = replay_sharded(
-        trace, num_shards=4, boards_per_shard=2, executor="serial",
+        trace, num_shards=4, boards_per_shard=2,
         autoscaler_factory=lambda shard: QueueDepthAutoscaler(
             min_boards=2, max_boards=16, high_watermark=4.0,
             low_watermark=0.5, cooldown_s=60.0,
@@ -213,12 +220,9 @@ def test_partition_preserves_jobs_and_session_locality():
             assert seen.setdefault(event.session, shard) == shard
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_replay_sharded_merges_shard_stats(executor):
+def test_replay_sharded_merges_shard_stats():
     trace = generate_trace(6000, seed=21, rate_jobs_per_s=100.0)
-    report = replay_sharded(
-        trace, num_shards=8, boards_per_shard=4, executor=executor
-    )
+    report = replay_sharded(trace, num_shards=8, boards_per_shard=4)
     assert report.jobs == len(trace)
     assert len(report.shard_stats) == 8
     assert report.warm_hits == sum(
@@ -236,18 +240,38 @@ def test_replay_sharded_merges_shard_stats(executor):
     assert len(experiment.rows) == 8
 
 
-def test_replay_sharded_is_executor_invariant():
-    """Modelled results must be bit-identical whatever runs the workers."""
+def test_replay_sharded_is_deterministic():
+    """Two replays of one trace give bit-identical modelled results."""
     trace = generate_trace(3000, seed=33, rate_jobs_per_s=100.0)
-    serial = replay_sharded(trace, num_shards=4, boards_per_shard=4,
-                            executor="serial")
-    threaded = replay_sharded(trace, num_shards=4, boards_per_shard=4,
-                              executor="thread")
-    for shard in serial.shard_stats:
-        a, b = serial.shard_stats[shard], threaded.shard_stats[shard]
+    first = replay_sharded(trace, num_shards=4, boards_per_shard=4)
+    second = replay_sharded(trace, num_shards=4, boards_per_shard=4)
+    assert first.shard_stats.keys() == second.shard_stats.keys()
+    for shard in first.shard_stats:
+        a, b = first.shard_stats[shard], second.shard_stats[shard]
         assert a.jobs == b.jobs
         assert a.makespan_s == b.makespan_s
         assert a.warm_hits == b.warm_hits
         assert a.waits == b.waits
-    with pytest.raises(ShardingError):
-        replay_sharded(trace, executor="fork-bomb")
+
+
+def test_traced_replay_emits_every_job_lifecycle_span_once():
+    """Every shard's simulator publishes into the scoped tracer: each per-job
+    lifecycle span and the ``job`` envelope appear once per trace event."""
+    trace = generate_trace(2000, seed=5, rate_jobs_per_s=50.0)
+    with obs_api.scoped() as handle:
+        replay_sharded(trace, num_shards=4, boards_per_shard=2)
+    spans = Counter(
+        event.name for event in handle.tracer.events if event.kind == "span"
+    )
+    for stage in (*JOB_STAGES, "job"):
+        assert spans[stage] == len(trace), stage
+
+
+def test_shard_replay_cli_replays_and_rejects_workers():
+    out = io.StringIO()
+    args = ["shard-replay", "--shards", "3", "--boards-per-shard", "2",
+            "--jobs", "600", "--rate", "20"]
+    assert main(args, out=out) == 0
+    assert "replayed          : 600 jobs / 3 shards" in out.getvalue()
+    with pytest.raises(SystemExit):
+        main([*args, "--workers", "thread"], out=io.StringIO())
