@@ -39,12 +39,6 @@ WORKLOADS = (
 )
 
 
-def paper_config(accelerator, **variant):
-    if hasattr(accelerator, "paper_shield_config"):
-        return accelerator.paper_shield_config(**variant)
-    return accelerator.build_shield_config(**variant)
-
-
 def main() -> None:
     model = TimingModel()
     rows = []
@@ -52,14 +46,9 @@ def main() -> None:
         profile = accelerator.profile()
         for sbox in (4, 16):
             for key_bits in (128, 256):
-                try:
-                    config = paper_config(
-                        accelerator, aes_key_bits=key_bits, sbox_parallelism=sbox, **extra
-                    )
-                except TypeError:
-                    config = accelerator.build_shield_config(
-                        aes_key_bits=key_bits, sbox_parallelism=sbox, **extra
-                    )
+                config = accelerator.paper_shield_config(
+                    aes_key_bits=key_bits, sbox_parallelism=sbox, **extra
+                )
                 area = shield_utilization(config)
                 rows.append(
                     {

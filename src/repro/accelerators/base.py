@@ -103,6 +103,15 @@ class Accelerator(ABC):
     ) -> ShieldConfig:
         """The per-accelerator Shield configuration from Section 6.2.4."""
 
+    def paper_shield_config(self, **variant) -> ShieldConfig:
+        """The paper-scale configuration the evaluation and the traces use.
+
+        Workloads whose functional model is scaled down from the paper
+        override this; for every other workload it is
+        :meth:`build_shield_config`.
+        """
+        return self.build_shield_config(**variant)
+
     # -- analytical profile ----------------------------------------------------------
 
     @abstractmethod

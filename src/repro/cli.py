@@ -273,6 +273,30 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _flags_at_least_one(args, out, *names) -> bool:
+    """Print an error for the first ``--name`` flag below 1; False if any is."""
+    for name in names:
+        if getattr(args, name) < 1:
+            print(f"error: --{name.replace('_', '-')} must be at least 1", file=out)
+            return False
+    return True
+
+
+def _demo_tenants() -> dict:
+    """The three tenants of the demos, one accelerator each."""
+    from repro.accelerators import (
+        AffineTransformAccelerator,
+        MatMulAccelerator,
+        VectorAddAccelerator,
+    )
+
+    return {
+        "alice": VectorAddAccelerator(8 * 1024),
+        "bob": MatMulAccelerator(32),
+        "carol": AffineTransformAccelerator(64),
+    }
+
+
 def _obs_scope(args):
     """A scoped live observability handle when any export flag asks for one.
 
@@ -337,27 +361,13 @@ def run_deploy_demo(args: argparse.Namespace, out=sys.stdout) -> int:
 
 def run_cloud_demo(args: argparse.Namespace, out=sys.stdout) -> int:
     """Three tenants, three accelerators, one shared fleet -- with receipts."""
-    from repro.accelerators import (
-        AffineTransformAccelerator,
-        MatMulAccelerator,
-        VectorAddAccelerator,
-    )
     from repro.cloud import JobState, ShieldCloudService
     from repro.crypto.fastpath import fast_path_enabled
     from repro.sim.simulator import outputs_equal, run_unshielded_baseline
 
-    if args.boards < 1:
-        print("error: --boards must be at least 1", file=out)
+    if not _flags_at_least_one(args, out, "boards", "jobs_per_tenant"):
         return 2
-    if args.jobs_per_tenant < 1:
-        print("error: --jobs-per-tenant must be at least 1", file=out)
-        return 2
-
-    tenants = {
-        "alice": VectorAddAccelerator(8 * 1024),
-        "bob": MatMulAccelerator(32),
-        "carol": AffineTransformAccelerator(64),
-    }
+    tenants = _demo_tenants()
     with _obs_scope(args) as obs_handle:
         service = ShieldCloudService(
             num_boards=args.boards,
@@ -439,29 +449,12 @@ def run_serve_demo(args: argparse.Namespace, out=sys.stdout) -> int:
     """Three tenants racing through the asyncio request path."""
     import asyncio
 
-    from repro.accelerators import (
-        AffineTransformAccelerator,
-        MatMulAccelerator,
-        VectorAddAccelerator,
-    )
     from repro.cloud import JobState, ShieldCloudService
     from repro.serve import AsyncShieldFrontend
 
-    if args.boards < 1:
-        print("error: --boards must be at least 1", file=out)
+    if not _flags_at_least_one(args, out, "boards", "jobs_per_tenant", "job_retention"):
         return 2
-    if args.jobs_per_tenant < 1:
-        print("error: --jobs-per-tenant must be at least 1", file=out)
-        return 2
-    if args.job_retention < 1:
-        print("error: --job-retention must be at least 1", file=out)
-        return 2
-
-    tenants = {
-        "alice": VectorAddAccelerator(8 * 1024),
-        "bob": MatMulAccelerator(32),
-        "carol": AffineTransformAccelerator(64),
-    }
+    tenants = _demo_tenants()
 
     async def serve(service) -> list:
         sessions = {
@@ -533,11 +526,7 @@ def run_cloud_trace(args: argparse.Namespace, out=sys.stdout) -> int:
     """Timed fleet replay: policy + affinity knobs over the CloudSimulator."""
     from repro.sim.cloud import CloudSimulator, default_mixed_trace, repeated_tenant_trace
 
-    if args.boards < 1:
-        print("error: --boards must be at least 1", file=out)
-        return 2
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=out)
+    if not _flags_at_least_one(args, out, "boards", "jobs"):
         return 2
     trace = (
         repeated_tenant_trace(num_jobs=args.jobs)
@@ -572,14 +561,7 @@ def run_shard_replay(args: argparse.Namespace, out=sys.stdout) -> int:
     from repro.cloud.shard import QueueDepthAutoscaler, replay_sharded
     from repro.sim.traces import generate_trace
 
-    if args.shards < 1:
-        print("error: --shards must be at least 1", file=out)
-        return 2
-    if args.boards_per_shard < 1:
-        print("error: --boards-per-shard must be at least 1", file=out)
-        return 2
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=out)
+    if not _flags_at_least_one(args, out, "shards", "boards_per_shard", "jobs"):
         return 2
     if args.autoscale_max is not None and args.autoscale_max < args.boards_per_shard:
         print("error: --autoscale-max must be >= --boards-per-shard", file=out)

@@ -18,14 +18,12 @@ timing harness lives in :mod:`repro.sim.cloud`.
 from repro.cloud.policies import (
     POLICIES,
     POLICY_NAMES,
-    BoardView,
     FifoPolicy,
     JobRequest,
     PriorityPolicy,
     SchedulingPolicy,
     ShortestJobFirstPolicy,
     WeightedFairSharePolicy,
-    choose_board,
     make_policy,
 )
 from repro.cloud.scheduler import AcceleratorJob, FleetScheduler, JobState
@@ -59,14 +57,12 @@ __all__ = [
     "TenantUsage",
     "POLICIES",
     "POLICY_NAMES",
-    "BoardView",
     "JobRequest",
     "SchedulingPolicy",
     "FifoPolicy",
     "PriorityPolicy",
     "WeightedFairSharePolicy",
     "ShortestJobFirstPolicy",
-    "choose_board",
     "make_policy",
     "QueueDepthAutoscaler",
     "ShardReplayReport",

@@ -117,18 +117,15 @@ class FleetScheduler:
         if tenant_quota is not None and tenant_quota < 1:
             raise SchedulingError("tenant_quota must be positive (or None for unbounded)")
         self._board_names = list(board_names)
+        #: The policy is the queue: O(log n) push and pop in policy order.
         self.policy = make_policy(policy)
-        #: Indexed policy queue: O(log n) selection, selection-identical to
-        #: the linear scans (see :class:`~repro.cloud.policies.PolicyQueue`).
-        self._queue = self.policy.make_queue()
         self.affinity = bool(affinity)
         self.queue_cap = queue_cap
         self.tenant_quota = tenant_quota
         #: board name -> session the board's resident (warm) Shield belongs to.
         #: Shared with the :class:`BoardIndex`, so ``evict`` is one dict write.
         self.resident_sessions: dict = {name: None for name in board_names}
-        #: Incremental free-fleet + warm-affinity index (replaces rebuilding
-        #: BoardView lists per dispatch).
+        #: Incremental free-fleet + warm-affinity index.
         self._boards = BoardIndex(board_names, resident=self.resident_sessions)
         #: board name -> recent session ids placed on it (bounded ring).
         self._history: dict = {
@@ -137,14 +134,11 @@ class FleetScheduler:
         #: board name -> lifetime placement count (survives ring eviction).
         self.placement_totals: dict = {name: 0 for name in board_names}
         self._seq = 0
-        self.affinity_hits = 0
-        self.jobs_rejected = 0
-        self.jobs_cancelled = 0
         self.metrics = metrics if metrics is not None else obs_api.current().metrics
         self._gauge_update()
 
     def _gauge_update(self) -> None:
-        self.metrics.gauge("cloud.queue_depth").set(len(self._queue))
+        self.metrics.gauge("cloud.queue_depth").set(len(self.policy))
         self.metrics.gauge("cloud.busy_boards").set(self.busy_boards)
 
     @property
@@ -164,11 +158,11 @@ class FleetScheduler:
         """
         if job.state is not JobState.QUEUED:
             raise SchedulingError(f"job {job.job_id!r} is not in the QUEUED state")
-        if self.queue_cap is not None and len(self._queue) >= self.queue_cap:
+        if self.queue_cap is not None and len(self.policy) >= self.queue_cap:
             self._reject(job, f"fleet queue is full ({self.queue_cap} job(s) pending)")
         if self.tenant_quota is not None:
             tenant = job.tenant or job.session_id
-            pending = self._queue.pending_for(tenant)
+            pending = self.policy.pending_for(tenant)
             if pending >= self.tenant_quota:
                 self._reject(
                     job,
@@ -177,18 +171,17 @@ class FleetScheduler:
                 )
         self._seq += 1
         job.seq = self._seq
-        self._queue.push(job.request_view(), job)
+        self.policy.push(job.request_view(), job)
         self._gauge_update()
 
     def _reject(self, job: AcceleratorJob, reason: str) -> None:
         job.state = JobState.REJECTED
         job.error = reason
-        self.jobs_rejected += 1
         raise AdmissionError(reason)
 
     @property
     def pending_jobs(self) -> int:
-        return len(self._queue)
+        return len(self.policy)
 
     @property
     def free_boards(self) -> int:
@@ -213,22 +206,19 @@ class FleetScheduler:
         session would race on the session's key rotation).  Ineligible jobs
         stay queued in their original order.
         """
-        if not self._queue or not self._boards:
+        if not self.policy or not self._boards:
             return None
-        popped = self._queue.pop(eligible)
+        popped = self.policy.pop(eligible)
         if popped is None:
             return None
-        view, job = popped
+        _, job = popped
         board_name = self._boards.place(job.session_id, prefer_affinity=self.affinity)
         warm = self.affinity and self.resident_sessions[board_name] == job.session_id
-        if warm:
-            self.affinity_hits += 1
         job.state = JobState.RUNNING
         job.board_name = board_name
         job.warm_start = warm
         self._history[board_name].append(job.session_id)
         self.placement_totals[board_name] += 1
-        self.policy.record_service(view)
         self._gauge_update()
         return job, board_name, warm
 
@@ -270,17 +260,15 @@ class FleetScheduler:
     ) -> list:
         """Cancel every queued job matching ``predicate`` (all jobs if None).
 
-        Cancellation is one pass over the queue (the indexed queues mark
-        matching cells dead in place); survivors keep their relative order,
-        so policy tie-breaks are unchanged.
+        Cancellation is one pass over the queue; survivors keep their
+        relative order, so policy tie-breaks are unchanged.
         """
-        cancelled = [job for _, job in self._queue.remove(predicate)]
+        cancelled = [job for _, job in self.policy.remove(predicate)]
         if not cancelled:
             return []
         for job in cancelled:
             job.state = JobState.CANCELLED
             job.error = reason
-        self.jobs_cancelled += len(cancelled)
         self._gauge_update()
         return cancelled
 

@@ -6,14 +6,10 @@ north star is millions of tenant sessions, which no single fleet reaches --
 so this module adds the scale-out layer:
 
 * :class:`ShardRouter` -- a consistent-hash ring with virtual nodes that maps
-  every session id to one shard.  Sessions are *sticky*: once routed, a
-  session stays on its shard until an explicit :meth:`ShardRouter.rebalance`
-  or :meth:`ShardRouter.remove_shard`, so warm-Shield affinity remains a
+  every session id to one shard, so warm-Shield affinity remains a
   shard-local property (a session's warm boards are always inside the shard
-  that serves it).  Virtual nodes keep the key space balanced, and the ring
-  structure guarantees that adding or removing one of N shards remaps only
-  ~1/N of the sessions (the minimal-disruption invariant the property tests
-  pin down).
+  that serves it).  Virtual nodes keep the key space balanced (the property
+  tests pin the balance down).
 * :class:`QueueDepthAutoscaler` -- a deterministic queue-depth-driven
   controller the simulator consults as modelled time advances.  It grows a
   shard's fleet with cold boards when the backlog per board crosses the high
@@ -54,7 +50,7 @@ __all__ = [
 
 #: Default virtual nodes per shard.  128 points per shard keeps the expected
 #: per-shard key share within a few percent of 1/N (see the balance property
-#: test) while the ring stays small enough that rebuilds are trivial.
+#: test) while the ring stays small enough that building it is trivial.
 DEFAULT_VNODES = 128
 
 
@@ -72,175 +68,46 @@ def _ring_hash(token: str) -> int:
 
 
 class ShardRouter:
-    """Consistent-hash ring with virtual nodes and sticky session assignments.
+    """Consistent-hash ring with virtual nodes over a fixed set of shards.
 
-    ``route(session)`` is the serving-path entry point: the first call walks
-    the ring (binary search over the vnode positions) and *pins* the session
-    to the owning shard; later calls return the pinned shard unconditionally.
-    Pinning is what keeps warm-Shield affinity shard-local -- a session never
-    silently migrates mid-stream, even while shards are being added, so its
-    warm boards stay valid until an explicit :meth:`rebalance` migrates it
-    (paying one cold Shield load on the new shard, exactly like a warm-board
-    eviction inside a single fleet).
-
-    ``drain(shard)`` removes a shard's virtual nodes from the ring without
-    touching its pinned sessions: no *new* session lands there, existing ones
-    finish in place, and a later :meth:`rebalance` (or :meth:`remove_shard`)
-    moves the stragglers off.  That is the same retire-only-idle semantics
-    the :class:`QueueDepthAutoscaler` applies to individual boards, one level
-    up the hierarchy.
+    The ring is built once: every shard contributes :data:`DEFAULT_VNODES`
+    points, and a session belongs to the first point clockwise from its own
+    hash, so all of a session's jobs land on one shard and warm-Shield
+    affinity stays a shard-local property.  ``route(session)`` is the
+    serving-path entry point; it memoises each session's shard, so repeated
+    lookups of a hot session skip the hash and the binary search.
     """
 
-    def __init__(self, shard_ids, vnodes: int = DEFAULT_VNODES):
-        if vnodes < 1:
-            raise ShardingError("vnodes must be positive")
-        self.vnodes = vnodes
-        self._shards: set = set()
-        self._draining: set = set()
-        #: Sorted vnode positions and the shard owning each (parallel lists).
-        self._ring_keys: list = []
-        self._ring_shards: list = []
-        #: session id -> pinned shard (sticky until rebalance/remove).
-        self._assignments: dict = {}
+    def __init__(self, shard_ids):
         shard_ids = list(shard_ids)
         if not shard_ids:
             raise ShardingError("a shard router needs at least one shard")
-        for shard_id in shard_ids:
-            self.add_shard(shard_id)
-
-    # -- ring maintenance ---------------------------------------------------------
-
-    def _vnode_tokens(self, shard_id) -> list:
-        return [f"{shard_id}#{i}" for i in range(self.vnodes)]
-
-    @loop_owned
-    def add_shard(self, shard_id) -> None:
-        """Insert a shard's virtual nodes into the ring.
-
-        Existing sessions stay pinned where they are; only future (or
-        rebalanced) sessions can land on the new shard -- so scaling out is
-        zero-disruption until the operator opts into a rebalance.
-        """
-        if shard_id in self._shards:
-            raise ShardingError(f"shard {shard_id!r} is already on the ring")
-        self._shards.add(shard_id)
-        for token in self._vnode_tokens(shard_id):
-            position = _ring_hash(token)
-            index = bisect.bisect_left(self._ring_keys, position)
-            self._ring_keys.insert(index, position)
-            self._ring_shards.insert(index, shard_id)
-
-    def _strip_vnodes(self, shard_id) -> None:
-        keep = [i for i, s in enumerate(self._ring_shards) if s != shard_id]
-        self._ring_keys = [self._ring_keys[i] for i in keep]
-        self._ring_shards = [self._ring_shards[i] for i in keep]
-
-    @loop_owned
-    def drain(self, shard_id) -> list:
-        """Stop routing *new* sessions to the shard; pinned sessions remain.
-
-        Returns the sessions still pinned to the draining shard (the
-        operator's work list).  A drained shard leaves the ring, so
-        :meth:`lookup` never returns it, but :meth:`route` keeps honouring
-        existing pins until :meth:`rebalance` or :meth:`remove_shard`.
-        """
-        if shard_id not in self._shards:
-            raise ShardingError(f"shard {shard_id!r} is not on the ring")
-        if len(self._shards - self._draining) <= 1:
-            raise ShardingError("cannot drain the last active shard")
-        self._draining.add(shard_id)
-        self._strip_vnodes(shard_id)
-        return sorted(
-            session for session, owner in self._assignments.items()
-            if owner == shard_id
+        self._shards = sorted(set(shard_ids), key=str)
+        ring = sorted(
+            (_ring_hash(f"{shard_id}#{i}"), shard_id)
+            for shard_id in self._shards
+            for i in range(DEFAULT_VNODES)
         )
-
-    @loop_owned
-    def remove_shard(self, shard_id) -> dict:
-        """Drop a shard entirely, re-pinning its sessions via the ring.
-
-        Returns ``{session: new_shard}`` for every migrated session.  Only
-        the removed shard's sessions move -- every other pin is untouched,
-        which is the minimal-disruption half of the consistent-hash bargain.
-        """
-        if shard_id not in self._shards:
-            raise ShardingError(f"shard {shard_id!r} is not on the ring")
-        if len(self._shards) <= 1:
-            raise ShardingError("cannot remove the last shard")
-        self._shards.discard(shard_id)
-        self._draining.discard(shard_id)
-        self._strip_vnodes(shard_id)
-        if not self._ring_keys:
-            raise ShardingError("removing the shard emptied the ring")
-        moved = {}
-        for session, owner in self._assignments.items():
-            if owner == shard_id:
-                moved[session] = self.lookup(session)
-        self._assignments.update(moved)
-        return moved
-
-    @loop_owned
-    def rebalance(self) -> dict:
-        """Re-pin every session to its current ring owner.
-
-        Returns ``{session: new_shard}`` for the sessions that moved.  After
-        shards were added this migrates ~A/N of the sessions onto the A new
-        shards; it also evacuates draining shards (their vnodes are already
-        off the ring).  Each move costs the session one cold Shield load on
-        its new shard -- the price of rebalancing, visible in the replay
-        stats as a dip in the affinity hit-rate.
-        """
-        moved = {}
-        for session, owner in self._assignments.items():
-            target = self.lookup(session)
-            if target != owner:
-                moved[session] = target
-        self._assignments.update(moved)
-        return moved
-
-    # -- routing ------------------------------------------------------------------
-
-    def lookup(self, session_id: str):
-        """Pure ring walk (no pinning): the shard owning ``session_id`` now.
-
-        The first vnode clockwise from the session's hash owns it; the ring
-        wraps at the top.  Draining shards own no vnodes, so they are never
-        returned.
-        """
-        if not self._ring_keys:
-            raise ShardingError("the ring has no active shards")
-        index = bisect.bisect_right(self._ring_keys, _ring_hash(session_id))
-        if index == len(self._ring_keys):
-            index = 0
-        return self._ring_shards[index]
+        #: Sorted vnode positions and the shard owning each (parallel lists).
+        self._ring_keys = [position for position, _ in ring]
+        self._ring_shards = [shard_id for _, shard_id in ring]
+        #: session id -> shard, filled in as sessions are first routed.
+        self._assignments: dict = {}
 
     @loop_owned
     def route(self, session_id: str):
-        """The serving-path lookup: pinned shard, or pin via the ring."""
+        """The shard owning ``session_id`` (memoised ring walk)."""
         shard = self._assignments.get(session_id)
         if shard is None:
-            shard = self.lookup(session_id)
+            index = bisect.bisect_right(self._ring_keys, _ring_hash(session_id))
+            shard = self._ring_shards[index % len(self._ring_keys)]
             self._assignments[session_id] = shard
         return shard
 
-    # -- introspection ------------------------------------------------------------
-
     @property
     def shards(self) -> list:
-        """All shards, including draining ones, in sorted order."""
-        return sorted(self._shards, key=str)
-
-    @property
-    def active_shards(self) -> list:
-        """Shards currently receiving new sessions, in sorted order."""
-        return sorted(self._shards - self._draining, key=str)
-
-    @property
-    def draining_shards(self) -> list:
-        return sorted(self._draining, key=str)
-
-    def __len__(self) -> int:
-        return len(self._shards)
+        """Every shard on the ring, in sorted order."""
+        return list(self._shards)
 
 
 @dataclass
@@ -300,9 +167,8 @@ def partition_trace(trace: list, router: ShardRouter) -> dict:
     """Split a trace into per-shard traces by routed session.
 
     Events keep their relative order inside each shard (arrival order is
-    re-derived by the simulator anyway), and routing *pins* every session on
-    the router -- so a second partition of follow-on traffic lands sessions
-    on the same shards.
+    re-derived by the simulator anyway), and every event of a session lands
+    on the same shard.
     """
     shard_traces: dict = {shard: [] for shard in router.shards}
     route = router.route

@@ -188,16 +188,15 @@ class CloudSimulator:
     def replay(self, trace: list, autoscaler=None) -> list:
         """Replay the trace through the shared policy + affinity placement core.
 
-        Event-driven: arrivals join the indexed policy queue at their arrival
-        time; whenever a board is free and the queue is non-empty, the policy
-        picks the next job in O(log n) and the incremental
+        Event-driven: arrivals join the policy's queue at their arrival time;
+        whenever a board is free and the queue is non-empty, the policy picks
+        the next job in O(log n) and the incremental
         :class:`~repro.cloud.policies.BoardIndex` places it -- preferring a
         board whose last job belonged to the same session (warm, load cost
         zero).  Free boards are ranked in release order (seeded by board
         index), the timed analogue of the functional scheduler's longest-idle
-        rotation, so placements are deterministic, selection-identical to the
-        pre-indexed linear scans, and match the functional fleet wherever
-        time permits a comparison.
+        rotation, so placements are deterministic and match the functional
+        fleet wherever time permits a comparison.
 
         ``autoscaler`` is an optional queue-depth-driven controller (see
         :class:`~repro.cloud.shard.QueueDepthAutoscaler`): it is consulted as
@@ -241,7 +240,6 @@ class CloudSimulator:
         no per-job observability work at all.
         """
         policy = make_policy(self.policy)
-        queue = policy.make_queue()
         tracer = self.obs.tracer
         traced = tracer.enabled
         affinity = self.affinity
@@ -288,7 +286,7 @@ class CloudSimulator:
                 cost = cost_cache.get(cost_key)
                 if cost is None:
                     cost_cache[cost_key] = cost = self.execution_seconds(event)
-                queue.push(
+                policy.push(
                     JobRequest(
                         key=f"trace-{order[next_arrival]}",
                         tenant=event.tenant,
@@ -302,7 +300,7 @@ class CloudSimulator:
                 )
                 next_arrival += 1
             if autoscaler is not None:
-                target = autoscaler.target_boards(now, len(queue), active_boards)
+                target = autoscaler.target_boards(now, len(policy), active_boards)
                 if target > active_boards:
                     for _ in range(target - active_boards):
                         boards.add_board(next_board)
@@ -319,8 +317,8 @@ class CloudSimulator:
                         active_boards -= 1
                     if active_boards != before:
                         scale_events.append((now, active_boards))
-            while len(queue) and len(boards):
-                request, event = queue.pop()
+            while len(policy) and len(boards):
+                request, event = policy.pop()
                 session = request.session_id
                 board = boards.place(session, affinity)
                 warm = affinity and resident[board] == session
@@ -328,7 +326,6 @@ class CloudSimulator:
                 finish = now + load + request.cost_estimate
                 heapq.heappush(busy, (finish, board))
                 resident[board] = session if affinity else None
-                policy.record_service(request)
                 if traced:
                     self._emit_job_events(
                         tracer, request, event, board, now, load, finish, warm
@@ -415,17 +412,16 @@ class CloudSimulator:
         for entry in tenant_fairness.values():
             entry["busy_s"] = round(entry["busy_s"], 3)
             entry["service_share"] = round(entry["busy_s"] / busy, 3) if busy else 0.0
-        policy = make_policy(self.policy).name
         result = ExperimentResult(
             experiment_id=experiment_id,
             description=(
                 f"{stats.jobs} jobs from {len(tenant_fairness)} tenants on "
-                f"{self.num_boards} boards ({policy} policy, "
+                f"{self.num_boards} boards ({self.policy} policy, "
                 f"affinity {'on' if self.affinity else 'off'})"
             ),
             metadata={
                 "num_boards": self.num_boards,
-                "policy": policy,
+                "policy": self.policy,
                 "affinity": self.affinity,
                 "makespan_s": round(stats.makespan_s, 3),
                 "board_utilization": round(stats.utilization, 3),
@@ -453,12 +449,13 @@ class CloudSimulator:
         return result
 
 
-def default_mixed_trace(jobs_per_tenant: int = 3, arrival_gap_s: float = 2.0) -> list:
-    """A deterministic mixed-tenant trace over three paper workloads.
+def default_profile_pool() -> list:
+    """``(profile, shield_config)`` pairs from the three paper accelerators.
 
-    Three tenants (vector add, matmul, affine) interleave their arrivals so
-    that the fleet sees alternating streaming- and random-access traffic --
-    the NanoZone-style many-tenant pressure the cloud layer exists to absorb.
+    Imported lazily (accelerators pull in the crypto stack) and built once
+    per call; reusing the returned pool across traces maximizes the
+    simulator's pricing-cache hit rate, since the cache keys on object
+    identity.
     """
     from repro.accelerators import (
         AffineTransformAccelerator,
@@ -466,26 +463,34 @@ def default_mixed_trace(jobs_per_tenant: int = 3, arrival_gap_s: float = 2.0) ->
         VectorAddAccelerator,
     )
 
-    def paired_config(accelerator):
-        # Profiles reference the paper-scale region names when one exists.
-        if hasattr(accelerator, "paper_shield_config"):
-            return accelerator.paper_shield_config()
-        return accelerator.build_shield_config()
+    pool = []
+    for accelerator in (
+        VectorAddAccelerator(256 * 1024),
+        MatMulAccelerator(128),
+        AffineTransformAccelerator(128),
+    ):
+        pool.append((accelerator.profile(), accelerator.paper_shield_config()))
+    return pool
 
-    tenants = [
-        ("tenant-vadd", VectorAddAccelerator(256 * 1024)),
-        ("tenant-matmul", MatMulAccelerator(128)),
-        ("tenant-affine", AffineTransformAccelerator(128)),
-    ]
+
+def default_mixed_trace(jobs_per_tenant: int = 3, arrival_gap_s: float = 2.0) -> list:
+    """A deterministic mixed-tenant trace over three paper workloads.
+
+    Three tenants (vector add, matmul, affine -- the
+    :func:`default_profile_pool`) interleave their arrivals so that the fleet
+    sees alternating streaming- and random-access traffic -- the
+    NanoZone-style many-tenant pressure the cloud layer exists to absorb.
+    """
+    tenants = list(zip(("tenant-vadd", "tenant-matmul", "tenant-affine"), default_profile_pool()))
     trace = []
     for round_index in range(jobs_per_tenant):
-        for tenant_index, (tenant, accelerator) in enumerate(tenants):
+        for tenant_index, (tenant, (profile, config)) in enumerate(tenants):
             trace.append(
                 TraceEvent(
                     arrival_s=(round_index * len(tenants) + tenant_index) * arrival_gap_s,
                     tenant=tenant,
-                    profile=accelerator.profile(),
-                    shield_config=paired_config(accelerator),
+                    profile=profile,
+                    shield_config=config,
                 )
             )
     return trace
@@ -502,11 +507,7 @@ def repeated_tenant_trace(num_jobs: int = 8, arrival_gap_s: float = 1.0) -> list
 
     accelerator = VectorAddAccelerator(256 * 1024)
     profile = accelerator.profile()
-    config = (
-        accelerator.paper_shield_config()
-        if hasattr(accelerator, "paper_shield_config")
-        else accelerator.build_shield_config()
-    )
+    config = accelerator.paper_shield_config()
     return [
         TraceEvent(
             arrival_s=index * arrival_gap_s,

@@ -53,13 +53,6 @@ _FIGURE6_ACCELERATORS = (
 )
 
 
-def _paper_config(accelerator, **variant):
-    """The paper-scale Shield config for an accelerator (falls back to the default)."""
-    if hasattr(accelerator, "paper_shield_config"):
-        return accelerator.paper_shield_config(**variant)
-    return accelerator.build_shield_config(**variant)
-
-
 # ---------------------------------------------------------------------------
 # Section 6.1: secure-boot latency.
 # ---------------------------------------------------------------------------
@@ -207,7 +200,7 @@ def figure6_experiment() -> ExperimentResult:
         accelerator = accelerator_cls()
         profile = accelerator.profile()
         for label, variant in FIGURE6_CONFIGS:
-            config = _paper_config(accelerator, **variant)
+            config = accelerator.paper_shield_config(**variant)
             record = simulator.run(profile, config, label)
             result.add_row(
                 workload=name,
@@ -259,7 +252,7 @@ def table3_experiment() -> ExperimentResult:
     )
     for name, accelerator_cls, _ in _FIGURE6_ACCELERATORS:
         accelerator = accelerator_cls()
-        config = _paper_config(accelerator, aes_key_bits=128, sbox_parallelism=16)
+        config = accelerator.paper_shield_config(aes_key_bits=128, sbox_parallelism=16)
         utilization = shield_utilization(config)
         result.add_row(
             workload=name,

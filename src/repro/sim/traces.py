@@ -31,7 +31,7 @@ import math
 import random
 
 from repro.errors import SimulationError
-from repro.sim.cloud import TraceEvent
+from repro.sim.cloud import TraceEvent, default_profile_pool
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -49,35 +49,6 @@ PARETO_ALPHA = 1.5
 
 #: Period of the ``diurnal`` rate modulation, in modelled seconds.
 DIURNAL_PERIOD_S = 86_400.0
-
-
-def default_profile_pool() -> list:
-    """``(profile, shield_config)`` pairs from the three paper accelerators.
-
-    Imported lazily (accelerators pull in the crypto stack) and built once
-    per call; reusing the returned pool across traces maximizes the
-    simulator's pricing-cache hit rate, since the cache keys on object
-    identity.
-    """
-    from repro.accelerators import (
-        AffineTransformAccelerator,
-        MatMulAccelerator,
-        VectorAddAccelerator,
-    )
-
-    pool = []
-    for accelerator in (
-        VectorAddAccelerator(256 * 1024),
-        MatMulAccelerator(128),
-        AffineTransformAccelerator(128),
-    ):
-        config = (
-            accelerator.paper_shield_config()
-            if hasattr(accelerator, "paper_shield_config")
-            else accelerator.build_shield_config()
-        )
-        pool.append((accelerator.profile(), config))
-    return pool
 
 
 def _zipf_cumulative(n: int, s: float) -> list:

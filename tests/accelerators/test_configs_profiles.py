@@ -44,6 +44,17 @@ def test_paper_scale_configs_validate():
     AffineTransformAccelerator().paper_shield_config().validate()
 
 
+@pytest.mark.parametrize("name,accelerator_cls", sorted(ALL_ACCELERATORS.items()))
+def test_paper_config_defaults_to_the_functional_config(name, accelerator_cls):
+    """Only the workloads scaled down from the paper override the paper-scale
+    config; every other one falls back to ``build_shield_config``."""
+    accelerator = accelerator_cls()
+    paper = accelerator.paper_shield_config(sbox_parallelism=4).to_dict()
+    functional = accelerator.build_shield_config(sbox_parallelism=4).to_dict()
+    overridden = accelerator_cls in (ConvolutionAccelerator, AffineTransformAccelerator)
+    assert (paper != functional) == overridden
+
+
 def test_vector_add_layout_and_partitioning():
     accelerator = VectorAddAccelerator(vector_bytes=16384)
     config = accelerator.build_shield_config()

@@ -19,7 +19,9 @@ lifecycle invariants that make a long-lived service possible.
 from __future__ import annotations
 
 import asyncio
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -216,6 +218,52 @@ def test_cancel_queued_without_predicate_empties_the_queue():
     cancelled = scheduler.cancel_queued()
     assert len(cancelled) == 4
     assert scheduler.pending_jobs == 0
+
+
+#: Jobs left queued after every round, so tenants never run dry.
+BACKLOG = 6
+
+
+def _drain_round(scheduler, jobs, drain: str) -> None:
+    """Submit ``jobs`` and finish all but the newest ``BACKLOG`` queued jobs."""
+    for job in jobs:
+        scheduler.submit(job)
+    if drain == "cancel":
+        cutoff = jobs[-1].seq - BACKLOG
+        scheduler.cancel_queued(lambda job: job.seq <= cutoff)
+        return
+    eligible = (lambda _: True) if drain == "eligible" else None
+    while scheduler.pending_jobs > BACKLOG:
+        job, _, _ = scheduler.acquire(eligible)
+        scheduler.release(job, completed=True)
+
+
+@pytest.mark.parametrize("drain", ["acquire", "eligible", "cancel"])
+def test_fair_share_releases_every_finished_job(drain):
+    """Fair-share used to keep every popped or cancelled job in its
+    per-tenant heaps, so ``job_retention`` bounded nothing under ``fair``:
+    a finished job (popped with or without an ``eligible`` filter, or
+    cancelled) must not stay reachable from the scheduler, even while
+    other jobs of its tenant are still queued."""
+    scheduler = FleetScheduler(["b0", "b1"], policy="fair")
+    refs = []
+    for round_index in range(100):
+        jobs = [
+            AcceleratorJob(
+                job_id=f"j{round_index}-{index}",
+                session_id=f"s{index}",
+                tenant=f"t{index % 2}",
+                weight=float(1 + index),
+            )
+            for index in range(3)
+        ]
+        refs.extend(weakref.ref(job) for job in jobs)
+        _drain_round(scheduler, jobs, drain)
+        del jobs
+    gc.collect()
+    alive = [ref() for ref in refs if ref() is not None]
+    assert [job.job_id for job in alive if job.state is not JobState.QUEUED] == []
+    assert len(alive) == scheduler.pending_jobs == BACKLOG
 
 
 # ---------------------------------------------------------------------------

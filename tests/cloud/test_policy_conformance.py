@@ -71,18 +71,11 @@ def _trace_and_costs(simulator, sessions, accelerators, specs, arrival_gap_s=0.0
     events, costs = [], []
     for index, (tenant, _seed, priority) in enumerate(specs):
         accelerator = accelerators[tenant]
-        # Profiles reference the paper-scale region names when one exists
-        # (same pairing rule as default_mixed_trace).
-        config = (
-            accelerator.paper_shield_config()
-            if hasattr(accelerator, "paper_shield_config")
-            else accelerator.build_shield_config()
-        )
         event = TraceEvent(
             arrival_s=index * arrival_gap_s,
             tenant=tenant,
             profile=accelerator.profile(),
-            shield_config=config,
+            shield_config=accelerator.paper_shield_config(),
             session_id=sessions[tenant].session_id,
             priority=priority,
         )
@@ -225,6 +218,50 @@ def test_placements_match_simulator_under_serialized_arrivals(policy):
 # ---------------------------------------------------------------------------
 
 
+class _LinearOracle:
+    """The reference every policy's queue must match: a plain list scanned
+    for the minimum of one rank key per policy on every pick (O(n) per pop,
+    so test-sized queues only)."""
+
+    def __init__(self, policy: str):
+        self.served: dict = {}
+        self.entries: list = []
+        self.rank = {
+            "fifo": lambda r: r.seq,
+            "priority": lambda r: (-r.priority, r.seq),
+            "sjf": lambda r: (r.cost_estimate, r.seq),
+            "fair": lambda r: (
+                self.served.get(r.tenant, 0.0) / max(r.weight, 1e-12), r.seq
+            ),
+        }[policy]
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def push(self, request, payload) -> None:
+        self.entries.append((request, payload))
+
+    def pop(self, eligible=None):
+        candidates = [e for e in self.entries if eligible is None or eligible(e[1])]
+        if not candidates:
+            return None
+        entry = min(candidates, key=lambda e: self.rank(e[0]))
+        self.entries.remove(entry)
+        request = entry[0]
+        self.served[request.tenant] = (
+            self.served.get(request.tenant, 0.0) + request.cost_estimate
+        )
+        return entry
+
+    def remove(self, predicate) -> list:
+        removed = [e for e in self.entries if predicate(e[1])]
+        self.entries = [e for e in self.entries if not predicate(e[1])]
+        return removed
+
+    def pending_for(self, tenant: str) -> int:
+        return sum(1 for request, _ in self.entries if request.tenant == tenant)
+
+
 def _random_request(rng, seq: int):
     """Deliberately collision-heavy metadata: few distinct priorities,
     weights, and costs, so seq tie-breaks decide most picks -- exactly where
@@ -245,28 +282,21 @@ def _random_request(rng, seq: int):
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_indexed_queue_matches_linear_scan_on_randomized_queues(policy):
     """Every built-in policy's indexed queue must be *selection-identical*
-    (seq tie-breaks included) to the linear ``select()`` scan it replaced.
+    (seq tie-breaks included) to a linear scan with the policy's rank key.
 
-    Two queues run the same randomized operation stream -- the policy's
-    indexed queue and a :class:`~repro.cloud.policies.LinearPolicyQueue` over
-    a second policy instance (fair-share keeps per-tenant served state, so
-    each queue drives its own) -- and every pop, filtered pop, removal, and
-    pending count must agree exactly.
+    The policy and the :class:`_LinearOracle` run the same randomized
+    operation stream, and every pop, filtered pop, removal, and pending count
+    must agree exactly.
     """
     import random
 
-    from repro.cloud.policies import LinearPolicyQueue, make_policy
+    from repro.cloud.policies import make_policy
 
     policy_index = list(POLICY_NAMES).index(policy)
     for trial in range(8):
         rng = random.Random(1009 * (policy_index + 1) + trial)
-        indexed_policy = make_policy(policy)
-        linear_policy = make_policy(policy)
-        indexed = indexed_policy.make_queue()
-        linear = LinearPolicyQueue(linear_policy)
-        # The point of the test is indexed-vs-linear: the built-ins must not
-        # satisfy it trivially by vending a linear queue themselves.
-        assert not isinstance(indexed, LinearPolicyQueue)
+        indexed = make_policy(policy)
+        linear = _LinearOracle(policy)
         seq = 0
         for _ in range(300):
             action = rng.random()
@@ -287,8 +317,6 @@ def test_indexed_queue_matches_linear_scan_on_randomized_queues(policy):
                         f"linear picked {reference[0].key}"
                     )
                     assert picked[1] == reference[1]
-                    indexed_policy.record_service(picked[0])
-                    linear_policy.record_service(reference[0])
             elif action < 0.92:
                 # The async front-end's in-flight-session filter.
                 blocked = f"session-{rng.randrange(6)}"
@@ -299,8 +327,6 @@ def test_indexed_queue_matches_linear_scan_on_randomized_queues(policy):
                 if picked is not None:
                     assert picked[0] == reference[0]
                     assert picked[0].session_id != blocked
-                    indexed_policy.record_service(picked[0])
-                    linear_policy.record_service(reference[0])
             else:
                 # Session-teardown cancellation.
                 doomed = f"session-{rng.randrange(6)}"
@@ -316,6 +342,4 @@ def test_indexed_queue_matches_linear_scan_on_randomized_queues(policy):
             picked = indexed.pop()
             reference = linear.pop()
             assert picked is not None and picked[0] == reference[0]
-            indexed_policy.record_service(picked[0])
-            linear_policy.record_service(reference[0])
         assert indexed.pop() is None and linear.pop() is None

@@ -256,7 +256,8 @@ def test_scheduler_level_admission_raises():
     with pytest.raises(AdmissionError):
         scheduler.submit(overflow)
     assert overflow.state is JobState.REJECTED
-    assert scheduler.jobs_rejected == 1
+    # The rejected job never entered the queue.
+    assert scheduler.pending_jobs == 1
     with pytest.raises(SchedulingError):
         FleetScheduler(["b0"], queue_cap=0)
     with pytest.raises(SchedulingError):
