@@ -7,7 +7,7 @@ series the paper reports.  EXPERIMENTS.md records paper-vs-measured values.
 
 The gates additionally record their measurements through one writer,
 :func:`record_bench`, which merges named entries into ``BENCH_<stem>.json`` at
-the repo root: ``fastpath`` (crypto fast-path speedups), ``merkle``
+the repo root: ``fastpath`` (crypto datapath speedups), ``merkle``
 (vectorized Merkle replay protection), ``sched`` (warm-affinity makespan
 ratios, policy waits), ``obs`` (observability overhead), ``serve`` (async
 serving throughput and latency) and ``shard`` (shard-scale replay
@@ -32,7 +32,7 @@ from repro.sim.reporting import render_experiment
 
 
 def random_bytes(seed: int, length: int) -> bytes:
-    """Deterministic pseudo-random payload for the fast-path benchmarks."""
+    """Deterministic pseudo-random payload for the crypto benchmarks."""
     return np.random.default_rng(seed).integers(0, 256, length, dtype=np.uint8).tobytes()
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -78,22 +78,21 @@ def record_stage_percentiles(stem: str, name: str, metrics, **extra) -> None:
 
 
 def crypto_percentiles(metrics) -> dict:
-    """Seal/unseal duration percentiles per crypto path from a live registry.
+    """Seal/unseal duration percentiles from a live registry.
 
     Reads the ``crypto.{seal,unseal}_seconds`` histograms a
-    :class:`~repro.core.sealing.RegionSealer` populates (labelled
-    ``fast``/``scalar``); empty series are skipped.
+    :class:`~repro.core.sealing.RegionSealer` populates; empty series are
+    skipped.
     """
     out = {}
     for op in ("seal", "unseal"):
-        for path in ("fast", "scalar"):
-            summary = metrics.histogram(f"crypto.{op}_seconds", path=path).summary()
-            if summary["count"]:
-                out[f"{op}_{path}"] = {
-                    "count": summary["count"],
-                    "p50_s": summary["p50"],
-                    "p99_s": summary["p99"],
-                }
+        summary = metrics.histogram(f"crypto.{op}_seconds").summary()
+        if summary["count"]:
+            out[op] = {
+                "count": summary["count"],
+                "p50_s": summary["p50"],
+                "p99_s": summary["p99"],
+            }
     return out
 
 

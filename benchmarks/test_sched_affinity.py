@@ -104,7 +104,7 @@ def test_functional_stage_timings_recorded():
     from repro.accelerators import VectorAddAccelerator
     from repro.cloud import ShieldCloudService
 
-    service = ShieldCloudService(num_boards=2, fast_crypto=True)
+    service = ShieldCloudService(num_boards=2)
     accelerator = VectorAddAccelerator(8 * 1024)
     session = service.admit_tenant("bench", accelerator)
     inputs = accelerator.prepare_inputs(seed=3)

@@ -55,7 +55,7 @@ class _TimedVectorAdd(VectorAddAccelerator):
 
 
 def _build_service():
-    service = ShieldCloudService(num_boards=NUM_BOARDS, fast_crypto=True)
+    service = ShieldCloudService(num_boards=NUM_BOARDS)
     accels = {
         tenant: _TimedVectorAdd(VECTOR_BYTES, DEVICE_LATENCY_S) for tenant in TENANTS
     }
@@ -155,7 +155,7 @@ def test_concurrent_throughput_beats_sync_drain():
 
 def test_backpressure_events_reach_the_trace_stream():
     with obs_api.scoped() as handle:
-        service = ShieldCloudService(num_boards=1, fast_crypto=True)
+        service = ShieldCloudService(num_boards=1)
         accel = VectorAddAccelerator(VECTOR_BYTES)
         clock_value = [0.0]
 

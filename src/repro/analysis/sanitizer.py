@@ -15,7 +15,7 @@ cannot.  With ``REPRO_SANITIZE=1`` in the environment (or after
   -- the executable form of PR 7's "the event loop owns all scheduler state".
 * :func:`note_copy` + :func:`counting_copies` expose a copy counter that the
   batched datapath's known fallback-copy sites report into, so a hot-path
-  test can assert that a fast-path operation allocated nothing.
+  test can assert that a batched operation allocated nothing.
 
 Everything here is stdlib-only and free when disabled: the product-code call
 sites guard on :func:`enabled`, which is a plain module-global read.
@@ -143,7 +143,7 @@ def note_copy(site: str, nbytes: int) -> None:
     """Report one fallback copy of ``nbytes`` at ``site``.
 
     Called by the batched datapath wherever it materializes ``bytes`` from a
-    shared buffer (the scalar fallbacks).  Free when no counter is open.
+    shared buffer (the ragged-batch fallback).  Free when no counter is open.
     """
     if not _counter_stack:
         return
@@ -156,9 +156,9 @@ def note_copy(site: str, nbytes: int) -> None:
 def counting_copies():
     """Collect every :func:`note_copy` within the scope into a :class:`CopyCounter`.
 
-    Hot-path tests run a fast-path batch inside the scope and assert
-    ``counter.copies == 0``; scalar-fallback tests assert the copies (and
-    their sites) were recorded.  Nested scopes each see all copies.
+    Hot-path tests run a batched seal/unseal inside the scope and assert
+    ``counter.copies == 0``; fallback tests assert the copies (and their
+    sites) were recorded.  Nested scopes each see all copies.
     """
     counter = CopyCounter()
     with _counter_lock:

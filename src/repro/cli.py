@@ -36,9 +36,9 @@ Usage::
     python -m repro.cli experiments table-2
     python -m repro.cli experiments all --export-dir results/
     python -m repro.cli deploy-demo dnnweaver --board aws-f1
-    python -m repro.cli cloud-demo --boards 2 --fast-crypto --policy fair
+    python -m repro.cli cloud-demo --boards 2 --policy fair
     python -m repro.cli cloud-demo --trace run.jsonl --metrics -
-    python -m repro.cli serve-demo --boards 2 --fast-crypto --rate-limit 4
+    python -m repro.cli serve-demo --boards 2 --rate-limit 4
     python -m repro.cli cloud-trace --policy sjf --repeated-tenant
     python -m repro.cli shard-replay --shards 8 --jobs 100000 --arrival diurnal
     python -m repro.cli trace-report run.jsonl
@@ -113,11 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     cloud_parser.add_argument(
         "--jobs-per-tenant", type=int, default=1, help="jobs each tenant submits"
     )
-    cloud_parser.add_argument(
-        "--fast-crypto",
-        action="store_true",
-        help="use the vectorized AES-CTR fast path for every session",
-    )
     _add_scheduling_flags(cloud_parser)
     _add_obs_flags(cloud_parser)
     cloud_parser.add_argument(
@@ -136,11 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--jobs-per-tenant", type=int, default=2, help="jobs each tenant submits"
-    )
-    serve_parser.add_argument(
-        "--fast-crypto",
-        action="store_true",
-        help="use the vectorized AES-CTR fast path for every session",
     )
     _add_scheduling_flags(serve_parser)
     _add_obs_flags(serve_parser)
@@ -362,7 +352,6 @@ def run_deploy_demo(args: argparse.Namespace, out=sys.stdout) -> int:
 def run_cloud_demo(args: argparse.Namespace, out=sys.stdout) -> int:
     """Three tenants, three accelerators, one shared fleet -- with receipts."""
     from repro.cloud import JobState, ShieldCloudService
-    from repro.crypto.fastpath import fast_path_enabled
     from repro.sim.simulator import outputs_equal, run_unshielded_baseline
 
     if not _flags_at_least_one(args, out, "boards", "jobs_per_tenant"):
@@ -371,7 +360,6 @@ def run_cloud_demo(args: argparse.Namespace, out=sys.stdout) -> int:
     with _obs_scope(args) as obs_handle:
         service = ShieldCloudService(
             num_boards=args.boards,
-            fast_crypto=True if args.fast_crypto else None,
             policy=args.policy,
             affinity=not args.no_affinity,
             queue_cap=args.queue_cap,
@@ -437,10 +425,6 @@ def run_cloud_demo(args: argparse.Namespace, out=sys.stdout) -> int:
               f"hit rate {summary['affinity_hit_rate']:.0%})", file=out)
         print(f"baseline mismatches : {mismatches}", file=out)
         print(f"plaintext leaks     : {leaks}", file=out)
-        print(
-            f"fast crypto         : {bool(args.fast_crypto) or fast_path_enabled()}",
-            file=out,
-        )
         _export_obs(args, obs_handle, out)
     return 0 if mismatches == 0 and leaks == 0 and failures == 0 else 1
 
@@ -483,7 +467,6 @@ def run_serve_demo(args: argparse.Namespace, out=sys.stdout) -> int:
     with _obs_scope(args) as obs_handle:
         service = ShieldCloudService(
             num_boards=args.boards,
-            fast_crypto=True if args.fast_crypto else None,
             policy=args.policy,
             affinity=not args.no_affinity,
             job_retention=args.job_retention,

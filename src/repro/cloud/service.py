@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import repro.obs as obs_api
 from repro.analysis.annotations import executor_side, loop_owned
@@ -179,7 +179,7 @@ class ShieldCloudService:
         self,
         num_boards: int = 2,
         board_model: BoardModel | str = BoardModel.AWS_F1,
-        fast_crypto: bool | None = None,
+        fast_crypto: bool = True,
         serial_prefix: str = "cloud-fpga",
         ledger_limit: int | None = None,
         policy="fifo",
@@ -212,6 +212,10 @@ class ShieldCloudService:
         totals always live in the metrics registry (``stats``), mirroring how
         ``placement_totals`` outlives the placement-history ring.
 
+        ``fast_crypto`` selects nothing: the engines have one datapath.  It
+        is accepted only as ``True``, for callers written when it chose
+        between two; any other value raises :class:`CloudError`.
+
         ``obs`` is the :class:`~repro.obs.Observability` handle to record
         into; the default snapshots :func:`repro.obs.current` at construction
         time.  The service always keeps a *real* metrics registry for its own
@@ -220,6 +224,8 @@ class ShieldCloudService:
         """
         if num_boards < 1:
             raise CloudError("the fleet needs at least one board")
+        if fast_crypto is not True:
+            raise CloudError("fast_crypto selects nothing and only accepts True")
         if ledger_limit is not None and ledger_limit < 1:
             raise CloudError("ledger_limit must be positive (or None for unbounded)")
         if job_retention is not None and job_retention < 1:
@@ -235,7 +241,6 @@ class ShieldCloudService:
         # null tracer's clock is frozen at 0.0), so fall back to the wall
         # clock for the service's internal timestamps in that case.
         self._now = self.tracer.now if self.tracer.enabled else time.perf_counter
-        self.fast_crypto = fast_crypto
         self.ledger_limit = ledger_limit
         self.affinity = bool(affinity)
         self.slots: dict[str, BoardSlot] = {}
@@ -399,11 +404,6 @@ class ShieldCloudService:
         """Clone a Shield configuration into a session-unique namespace."""
         config = ShieldConfig.from_dict(base.to_dict())
         config.shield_id = f"{base.shield_id}:{session_id}"
-        if self.fast_crypto is not None:
-            config.engine_sets = [
-                replace(engine_set, fast_crypto=self.fast_crypto)
-                for engine_set in config.engine_sets
-            ]
         return config
 
     @loop_owned
@@ -751,7 +751,8 @@ class ShieldCloudService:
             self._count("shield_loads", board=slot.name)
         runtime = ShefHostRuntime(board.shell, config, label=session.session_id)
         slot.active_session = session.session_id
-        session.boards_used.append(slot.name)
+        if slot.name not in session.boards_used:
+            session.boards_used.append(slot.name)
         ids = dict(
             tenant=job.tenant, session=session.session_id, job=job.job_id, board=slot.name
         )

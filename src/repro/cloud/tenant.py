@@ -96,7 +96,8 @@ class TenantSession:
     usage: TenantUsage = field(default_factory=TenantUsage)
     #: Shield statistics captured after each job (most recent last).
     job_stats: list = field(default_factory=list)
-    #: Boards this session's Shield has been loaded onto, in order.
+    #: Boards this session's Shield has been loaded onto, each once, in
+    #: first-use order.
     boards_used: list = field(default_factory=list)
 
     def __repr__(self) -> str:  # Sessions hold key material; print identity only.

@@ -7,7 +7,9 @@ size ``C_mem`` per memory region, optional on-chip plaintext buffers, and
 optional integrity counters for replay protection.  The register interface can
 additionally encrypt register addresses.  These dataclasses capture that
 space, validate it, and serialize into the bitstream container so the exact
-configuration travels with the design.
+configuration travels with the design.  Every field is a hardware parameter:
+how the simulator computes the crypto is not configurable (the engines have
+one functional datapath, see :mod:`repro.core.engines`).
 """
 
 from __future__ import annotations
@@ -24,15 +26,7 @@ MAC_TAG_BYTES = 16  # tags stored in DRAM are 16 bytes (HMAC tags truncated)
 
 @dataclass(frozen=True)
 class EngineSetConfig:
-    """Configuration of one engine set (crypto engines + buffer + counters).
-
-    ``fast_crypto`` selects the functional AES-CTR implementation backing this
-    engine set: ``True`` forces the vectorized numpy fast path, ``False``
-    forces the scalar pure-Python reference, and ``None`` (the default)
-    inherits the process-wide setting from :mod:`repro.crypto.fastpath`.  The
-    flag changes simulation speed only -- both paths produce byte-identical
-    ciphertext and tags.
-    """
+    """Configuration of one engine set (crypto engines + buffer + counters)."""
 
     name: str
     num_aes_engines: int = 1
@@ -41,7 +35,6 @@ class EngineSetConfig:
     mac_algorithm: str = "HMAC"
     num_mac_engines: int = 1
     buffer_bytes: int = 0
-    fast_crypto: bool | None = None
 
     def validate(self) -> None:
         if self.num_aes_engines < 1:
@@ -63,10 +56,6 @@ class EngineSetConfig:
             raise ConfigurationError(f"engine set {self.name!r} needs >= 1 MAC engine")
         if self.buffer_bytes < 0:
             raise ConfigurationError(f"engine set {self.name!r}: negative buffer size")
-        if self.fast_crypto not in (None, True, False):
-            raise ConfigurationError(
-                f"engine set {self.name!r}: fast_crypto must be True, False, or None"
-            )
 
     def to_dict(self) -> dict:
         return {
@@ -77,7 +66,6 @@ class EngineSetConfig:
             "mac_algorithm": self.mac_algorithm,
             "num_mac_engines": self.num_mac_engines,
             "buffer_bytes": self.buffer_bytes,
-            "fast_crypto": self.fast_crypto,
         }
 
     @staticmethod

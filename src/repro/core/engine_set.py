@@ -157,7 +157,7 @@ class RegionPipeline:
         """Chunk plaintext for a read, as read-only bytes-like data.
 
         Buffered hits hand back the buffer line's storage directly and misses
-        return the unseal output (a memoryview on the fast path); callers copy
+        return the unseal output (a memoryview row of the batch); callers copy
         the span they need, so no per-chunk ``bytes`` materialization happens.
         """
         if self.buffer.enabled:
@@ -275,8 +275,8 @@ class RegionPipeline:
         All dirty lines are sealed through one
         :meth:`~repro.core.sealing.RegionSealer.seal_chunks` call (counter
         increments happen first, exactly as the chunk-at-a-time path would),
-        so a fast-crypto engine set encrypts the whole write-back set in a
-        single vectorized pass before the per-chunk DRAM writes go out.
+        so the engine set encrypts the whole write-back set in a single
+        vectorized pass before the per-chunk DRAM writes go out.
         """
         lines = list(self.buffer.dirty_lines())
         if not lines:

@@ -7,6 +7,12 @@ results: they are chosen so that the relative performance of configurations
 (4x vs 16x S-box parallelism, 128- vs 256-bit keys, HMAC vs PMAC, engine
 counts) reproduces the shapes reported in the paper's Table 2 and Figures 5-6.
 
+There is one functional datapath: AES-CTR runs on the vectorized
+:class:`~repro.crypto.fastaes.VectorAes` and batched MACs on
+:class:`~repro.crypto.fasthash.BatchedMac`.  The from-scratch
+:mod:`repro.crypto.modes` and :mod:`repro.crypto.mac` are the references
+the parity tests compare them against.
+
 Key modelling choices (documented here because the benchmarks depend on them):
 
 * An AES engine's throughput scales linearly with S-box parallelism (the
@@ -27,13 +33,10 @@ import numpy as np
 
 from repro.analysis.annotations import hot_path, scalar_reference
 from repro.core.config import EngineSetConfig
-from repro.crypto.aes import AES
 from repro.crypto.fastaes import VectorAes
 from repro.crypto.fasthash import BatchedMac
-from repro.crypto.fastpath import fast_path_enabled
 from repro.crypto.kdf import derive_subkey
 from repro.crypto.mac import compute_mac, constant_time_equal
-from repro.crypto.modes import ctr_transform
 from repro.errors import IntegrityError, ShieldError
 
 # Calibrated throughput constants (bytes per Shield clock cycle).
@@ -57,20 +60,13 @@ class EngineStats:
 class AesEngine:
     """A configurable AES-CTR encryption/decryption engine.
 
-    ``fast_crypto`` picks the functional implementation: ``True`` uses the
-    vectorized numpy path, ``False`` the scalar reference, and ``None``
-    (default) defers to :func:`repro.crypto.fastpath.fast_path_enabled` at
-    each call, so the process-wide switch can be flipped mid-run.  Both paths
-    are byte-identical; only the simulator's wall-clock time changes.
+    Every call runs on the vectorized :class:`~repro.crypto.fastaes.VectorAes`
+    cipher, which is byte-identical to the from-scratch reference
+    :func:`repro.crypto.modes.ctr_transform`; the S-box parallelism and key
+    size only shape the modelled throughput.
     """
 
-    def __init__(
-        self,
-        key: bytes,
-        sbox_parallelism: int = 4,
-        key_bits: int = 128,
-        fast_crypto: bool | None = None,
-    ):
+    def __init__(self, key: bytes, sbox_parallelism: int = 4, key_bits: int = 128):
         if len(key) * 8 != key_bits:
             raise ShieldError(
                 f"AES engine configured for {key_bits}-bit keys got a "
@@ -78,9 +74,7 @@ class AesEngine:
             )
         self.sbox_parallelism = sbox_parallelism
         self.key_bits = key_bits
-        self.fast_crypto = fast_crypto
-        self._cipher = AES(key)
-        self._vector_cipher: VectorAes | None = None
+        self._cipher = VectorAes(key)
         self.stats = EngineStats()
 
     @property
@@ -91,54 +85,36 @@ class AesEngine:
             rate *= AES_256_THROUGHPUT_FACTOR
         return rate
 
-    @property
-    def uses_fast_path(self) -> bool:
-        """Whether the next call will take the vectorized path."""
-        if self.fast_crypto is None:
-            return fast_path_enabled()
-        return self.fast_crypto
-
-    def _vector(self) -> VectorAes:
-        if self._vector_cipher is None:
-            self._vector_cipher = VectorAes(self._cipher)
-        return self._vector_cipher
-
-    def _transform(self, iv: bytes, data: bytes) -> bytes:
-        if self.uses_fast_path:
-            return self._vector().ctr_transform(iv, data)
-        return ctr_transform(self._cipher, iv, data)
-
     def _transform_many(self, ivs: list, chunks: list) -> list:
         if len(ivs) != len(chunks):
             raise ShieldError("batched AES-CTR needs one IV per chunk")
-        if self.uses_fast_path and chunks and all(
-            len(c) == len(chunks[0]) for c in chunks
-        ):
-            return self._vector().ctr_transform_many(ivs, chunks)
-        return [ctr_transform(self._cipher, iv, c) for iv, c in zip(ivs, chunks)]
+        if len({len(c) for c in chunks}) <= 1:
+            return self._cipher.ctr_transform_many(ivs, chunks)
+        # Ragged batch (e.g. a truncated download): one cipher pass per chunk.
+        return [self._cipher.ctr_transform(iv, c) for iv, c in zip(ivs, chunks)]
 
     def encrypt(self, iv: bytes, plaintext: bytes) -> bytes:
         """AES-CTR encrypt ``plaintext`` under the per-chunk IV."""
         self.stats.bytes_encrypted += len(plaintext)
         self.stats.operations += 1
-        return self._transform(iv, plaintext)
+        return self._cipher.ctr_transform(iv, plaintext)
 
     def decrypt(self, iv: bytes, ciphertext: bytes) -> bytes:
         """AES-CTR decrypt ``ciphertext`` under the per-chunk IV."""
         self.stats.bytes_decrypted += len(ciphertext)
         self.stats.operations += 1
-        return self._transform(iv, ciphertext)
+        return self._cipher.ctr_transform(iv, ciphertext)
 
-    @scalar_reference("encrypt")
+    @scalar_reference("repro.crypto.modes:ctr_transform")
     def encrypt_many(self, ivs: list, plaintexts: list) -> list:
-        """Encrypt a batch of chunks, one IV each, in a single fast-path pass."""
+        """Encrypt a batch of chunks, one IV each, in a single vectorized pass."""
         self.stats.bytes_encrypted += sum(len(p) for p in plaintexts)
         self.stats.operations += len(plaintexts)
         return self._transform_many(ivs, plaintexts)
 
-    @scalar_reference("decrypt")
+    @scalar_reference("repro.crypto.modes:ctr_transform")
     def decrypt_many(self, ivs: list, ciphertexts: list) -> list:
-        """Decrypt a batch of chunks, one IV each, in a single fast-path pass."""
+        """Decrypt a batch of chunks, one IV each, in a single vectorized pass."""
         self.stats.bytes_decrypted += sum(len(c) for c in ciphertexts)
         self.stats.operations += len(ciphertexts)
         return self._transform_many(ivs, ciphertexts)
@@ -148,18 +124,10 @@ class AesEngine:
     def _transform_array(self, ivs: np.ndarray, data: np.ndarray) -> np.ndarray:
         if ivs.shape[0] != data.shape[0]:
             raise ShieldError("batched AES-CTR needs one IV per chunk")
-        if self.uses_fast_path:
-            return self._vector().ctr_transform_array(ivs, data)
-        out = np.empty_like(data)
-        for row in range(data.shape[0]):
-            out[row] = np.frombuffer(
-                ctr_transform(self._cipher, ivs[row].tobytes(), data[row].tobytes()),
-                dtype=np.uint8,
-            )
-        return out
+        return self._cipher.ctr_transform_array(ivs, data)
 
     @hot_path
-    @scalar_reference("encrypt")
+    @scalar_reference("repro.crypto.modes:ctr_transform")
     def encrypt_many_array(self, ivs: np.ndarray, plaintexts: np.ndarray) -> np.ndarray:
         """Encrypt an ``(n, chunk)`` uint8 array under ``(n, 12)`` IVs.
 
@@ -172,7 +140,7 @@ class AesEngine:
         return self._transform_array(ivs, plaintexts)
 
     @hot_path
-    @scalar_reference("decrypt")
+    @scalar_reference("repro.crypto.modes:ctr_transform")
     def decrypt_many_array(self, ivs: np.ndarray, ciphertexts: np.ndarray) -> np.ndarray:
         """Decrypt an ``(n, chunk)`` uint8 array under ``(n, 12)`` IVs."""
         self.stats.bytes_decrypted += ciphertexts.size
@@ -183,21 +151,17 @@ class AesEngine:
 class MacEngine:
     """A configurable authentication engine (HMAC-SHA256, AES-PMAC, or AES-CMAC).
 
-    ``fast_crypto`` mirrors :class:`AesEngine`: ``True`` routes the batched
-    :meth:`tag_many` / :meth:`verify_many` entry points through the vectorized
-    multi-message MACs in :mod:`repro.crypto.fasthash`, ``False`` forces the
-    scalar reference, and ``None`` (default) defers to
-    :func:`repro.crypto.fastpath.fast_path_enabled` at each call.  Both paths
-    produce byte-identical tags.
+    Single messages (:meth:`tag` / :meth:`verify`) run the from-scratch
+    :func:`repro.crypto.mac.compute_mac`; batches (:meth:`tag_many` and
+    friends) run the vectorized multi-message MACs of
+    :class:`~repro.crypto.fasthash.BatchedMac`.  Both produce byte-identical
+    tags.
     """
 
-    def __init__(
-        self, key: bytes, algorithm: str = "HMAC", fast_crypto: bool | None = None
-    ):
+    def __init__(self, key: bytes, algorithm: str = "HMAC"):
         if algorithm not in ("HMAC", "PMAC", "CMAC"):
             raise ShieldError(f"unknown MAC algorithm {algorithm!r}")
         self.algorithm = algorithm
-        self.fast_crypto = fast_crypto
         self._key = key if algorithm == "HMAC" else key[:16]
         self._batched: BatchedMac | None = None
         self.stats = EngineStats()
@@ -216,13 +180,6 @@ class MacEngine:
         """Whether multiple engines can cooperate on a single chunk."""
         return self.algorithm == "PMAC"
 
-    @property
-    def uses_fast_path(self) -> bool:
-        """Whether the next batched call will take the vectorized path."""
-        if self.fast_crypto is None:
-            return fast_path_enabled()
-        return self.fast_crypto
-
     def tag(self, message: bytes) -> bytes:
         """Compute a 16-byte tag (longer tags are truncated for DRAM storage)."""
         self.stats.bytes_authenticated += len(message)
@@ -236,25 +193,19 @@ class MacEngine:
 
     @scalar_reference("tag")
     def tag_many(self, messages: list) -> list:
-        """Tag a batch of messages in one vectorized MAC pass on the fast path.
+        """Tag a batch of messages in one vectorized MAC pass.
 
-        Byte-identical to calling :meth:`tag` per message; on the fast path
-        all equal-length messages (the whole batch, for region chunk MACs)
-        share a single multi-message pass.
+        Byte-identical to calling :meth:`tag` per message; all equal-length
+        messages (the whole batch, for region chunk MACs) share a single
+        multi-message pass.
         """
         self.stats.bytes_authenticated += sum(len(m) for m in messages)
         self.stats.operations += len(messages)
-        if not messages:
-            return []
-        if self.uses_fast_path:
-            tags = self._batched_mac().tag_many(messages)
-        else:
-            tags = [compute_mac(self.algorithm, self._key, m) for m in messages]
-        return [tag[:16] for tag in tags]
+        return [tag[:16] for tag in self._batched_mac().tag_many(messages)]
 
     def _batched_mac(self) -> BatchedMac:
         # Per-key setup (HMAC pads, AES key schedule, PMAC/CMAC subkeys) is
-        # done once and reused across batches, like AesEngine._vector().
+        # done once and reused across batches.
         if self._batched is None:
             self._batched = BatchedMac(self.algorithm, self._key)
         return self._batched
@@ -270,15 +221,7 @@ class MacEngine:
         """
         self.stats.bytes_authenticated += messages.size
         self.stats.operations += messages.shape[0]
-        if messages.shape[0] == 0:
-            return np.empty((0, 16), dtype=np.uint8)
-        if self.uses_fast_path:
-            return self._batched_mac().tag_many_array(messages)[:, :16]
-        out = np.empty((messages.shape[0], 16), dtype=np.uint8)
-        for row in range(messages.shape[0]):
-            tag = compute_mac(self.algorithm, self._key, messages[row].tobytes())  # lint: allow[hot-copy] scalar fallback
-            out[row] = np.frombuffer(tag[:16], dtype=np.uint8)
-        return out
+        return self._batched_mac().tag_many_array(messages)[:, :16]
 
     @scalar_reference("verify")
     def verify_many_array(self, messages: np.ndarray, tags: list) -> None:
@@ -346,11 +289,6 @@ def build_engines(
     enc_key = derive_subkey(region_key, "engine-encrypt", config.aes_key_bits // 8)
     mac_key = derive_subkey(region_key, "engine-mac", 32)
     return (
-        AesEngine(
-            enc_key,
-            config.sbox_parallelism,
-            config.aes_key_bits,
-            fast_crypto=config.fast_crypto,
-        ),
-        MacEngine(mac_key, config.mac_algorithm, fast_crypto=config.fast_crypto),
+        AesEngine(enc_key, config.sbox_parallelism, config.aes_key_bits),
+        MacEngine(mac_key, config.mac_algorithm),
     )

@@ -10,16 +10,16 @@ live in DRAM leaves, interior nodes hash their children, the root stays
 on-chip -- so the ablation benchmark can quantify the extra DRAM traffic ShEF
 avoids, and so tests can show both schemes detect replay.
 
-Like the AES/MAC engines, the tree ships two interchangeable datapaths.  The
-*scalar reference* hashes one HMAC per node per access.  The *vectorized*
-path (``fast_hash=True``, or the process-wide
-:func:`~repro.crypto.fastpath.fast_path_enabled` default) batches every
-sibling group of a tree level through one multi-message HMAC pass
-(:class:`~repro.crypto.fasthash.BatchedMac`) and coalesces the node fetches
-of a level into a handful of AXI bursts via
-:meth:`~repro.hw.axi.AxiPort.read_many`.  :class:`MerkleStats` always counts
-*per node*, exactly as the scalar walk would, so the replay-protection
-ablation numbers stay honest regardless of which datapath ran.
+The API call picks the walk.  A one-chunk call (:meth:`read_counter`,
+:meth:`increment_counter`) walks its path node by node, one HMAC per node.
+The batched calls (:meth:`read_counters`, :meth:`increment_counters`) and
+the initial build hash every sibling group of a tree level through one
+multi-message HMAC pass (:class:`~repro.crypto.fasthash.BatchedMac`) and
+coalesce the node fetches of a level into a handful of AXI bursts via
+:meth:`~repro.hw.axi.AxiPort.read_many`; for one chunk that batch costs
+about ten times the per-node walk.  :class:`MerkleStats` always counts *per
+node*, exactly as the per-node walk would, so the replay-protection
+ablation numbers do not depend on which call was made.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 from repro.crypto.fasthash import BatchedMac
-from repro.crypto.fastpath import fast_path_enabled
 from repro.crypto.mac import hmac_sha256
 from repro.errors import ReplayError, ShieldError
 from repro.hw.axi import AxiPort
@@ -69,12 +68,6 @@ class BonsaiMerkleCounterTree:
         Children per interior node.
     key:
         MAC key used for leaf-level counter authentication.
-    fast_hash:
-        ``True`` forces the vectorized multi-message HMAC datapath, ``False``
-        the scalar per-node reference, and ``None`` (default) defers to the
-        process-wide :func:`~repro.crypto.fastpath.fast_path_enabled` switch
-        at each call.  Both paths produce byte-identical roots and identical
-        per-node :class:`MerkleStats`.
     """
 
     def __init__(
@@ -84,7 +77,6 @@ class BonsaiMerkleCounterTree:
         num_chunks: int,
         arity: int = 8,
         key: bytes = b"\x00" * 32,
-        fast_hash: bool | None = None,
     ):
         if num_chunks <= 0:
             raise ShieldError("Merkle tree needs at least one chunk")
@@ -95,7 +87,6 @@ class BonsaiMerkleCounterTree:
         self.num_chunks = num_chunks
         self.arity = arity
         self._key = key
-        self.fast_hash = fast_hash
         self._batched_mac: BatchedMac | None = None
         self.stats = MerkleStats()
 
@@ -134,13 +125,6 @@ class BonsaiMerkleCounterTree:
         """Number of DRAM levels traversed per verification (leaves included)."""
         return len(self.levels)
 
-    @property
-    def uses_fast_path(self) -> bool:
-        """Whether the next call will take the vectorized hashing path."""
-        if self.fast_hash is None:
-            return fast_path_enabled()
-        return self.fast_hash
-
     # -- DRAM helpers --------------------------------------------------------------
 
     def _entry_size(self, level: int) -> int:
@@ -161,12 +145,12 @@ class BonsaiMerkleCounterTree:
         self._port.write(address, data, region_hint="merkle")
 
     def _account_reads(self, level: int, count: int) -> None:
-        """Tally ``count`` per-node reads, exactly as the scalar walk would."""
+        """Tally ``count`` per-node reads, exactly as the per-node walk would."""
         self.stats.node_reads += count
         self.stats.bytes_read += count * self._entry_size(level)
 
     def _account_writes(self, level: int, count: int) -> None:
-        """Tally ``count`` per-node writes, exactly as the scalar walk would."""
+        """Tally ``count`` per-node writes, exactly as the per-node walk would."""
         self.stats.node_writes += count
         self.stats.bytes_written += count * self._entry_size(level)
 
@@ -174,7 +158,7 @@ class BonsaiMerkleCounterTree:
         """Fetch entries (accounted per request) through coalesced bursts.
 
         Duplicate requests are counted once each -- the multiplicity matches
-        what the scalar walk would read -- but fetched once, and contiguous
+        what the per-node walk would read -- but fetched once, and contiguous
         entries of a level collapse into single AXI bursts.
         """
         self._account_reads(level, len(indices))
@@ -221,7 +205,7 @@ class BonsaiMerkleCounterTree:
     def _hash_groups(self, level: int, parents: list) -> list:
         """Vectorized :meth:`_hash_children` over many parents at once.
 
-        Child reads are accounted per *parent occurrence* (what the scalar
+        Child reads are accounted per *parent occurrence* (what the per-node
         walk would fetch) but deduplicated physically, and every distinct
         sibling group goes through one multi-message HMAC batch.
         """
@@ -250,35 +234,22 @@ class BonsaiMerkleCounterTree:
         return [digests[parent][:NODE_BYTES] for parent in parents]
 
     def _initialize(self) -> None:
-        """Write zero counters and build the initial tree bottom-up."""
-        if self.uses_fast_path:
-            self._write_entries(
-                0, {index: b"\x00" * COUNTER_BYTES for index in range(self.levels[0])}
-            )
-            if len(self.levels) == 1:
-                # Single-chunk tree: the root is the hash over the one leaf.
-                self._root = self._hash_groups(0, [0])[0]
-                return
-            for level in range(1, len(self.levels)):
-                parents = list(range(self.levels[level]))
-                digests = self._hash_groups(level - 1, parents)
-                if level == len(self.levels) - 1:
-                    self._root = digests[0]
-                else:
-                    self._write_entries(level, dict(zip(parents, digests)))
-            return
-        for index in range(self.levels[0]):
-            self._write_entry(0, index, b"\x00" * COUNTER_BYTES)
+        """Write zero counters and build the initial tree bottom-up, one
+        hash pass per level."""
+        self._write_entries(
+            0, {index: b"\x00" * COUNTER_BYTES for index in range(self.levels[0])}
+        )
         if len(self.levels) == 1:
-            self._root = self._hash_children(0, 0)
+            # Single-chunk tree: the root is the hash over the one leaf.
+            self._root = self._hash_groups(0, [0])[0]
             return
         for level in range(1, len(self.levels)):
-            for index in range(self.levels[level]):
-                digest = self._hash_children(level - 1, index)
-                if level == len(self.levels) - 1:
-                    self._root = digest
-                else:
-                    self._write_entry(level, index, digest)
+            parents = list(range(self.levels[level]))
+            digests = self._hash_groups(level - 1, parents)
+            if level == len(self.levels) - 1:
+                self._root = digests[0]
+            else:
+                self._write_entries(level, dict(zip(parents, digests)))
 
     # -- verification path -----------------------------------------------------------
 
@@ -344,7 +315,7 @@ class BonsaiMerkleCounterTree:
         """Batched :meth:`_update_path`: rebuild all touched paths level by level.
 
         Levels are recomputed bottom-up, so every parent hash is computed over
-        already-updated children -- the same final tree the scalar sequence of
+        already-updated children -- the same final tree the sequence of
         per-chunk updates converges to.
         """
         if len(self.levels) == 1:
@@ -365,9 +336,7 @@ class BonsaiMerkleCounterTree:
     # -- public API --------------------------------------------------------------------
 
     def read_counter(self, chunk_index: int) -> int:
-        """Fetch and verify the counter for a chunk (DRAM path walk included)."""
-        if self.uses_fast_path:
-            return self.read_counters([chunk_index])[0]
+        """Fetch and verify the counter for a chunk, walking its path node by node."""
         self._check_index(chunk_index)
         value = int.from_bytes(self._read_entry(0, chunk_index), "big")
         self._verify_path(chunk_index)
@@ -376,25 +345,21 @@ class BonsaiMerkleCounterTree:
     def read_counters(self, chunk_indices: list) -> list:
         """Batched :meth:`read_counter`: verify many chunks in level-wise passes.
 
-        On the vectorized path all leaves arrive in one coalesced read and
-        every tree level costs one multi-message HMAC batch; traffic is still
-        accounted per node walked, per chunk, exactly like the scalar loop.
+        All leaves arrive in one coalesced read and every tree level costs one
+        multi-message HMAC batch; traffic is still accounted per node walked,
+        per chunk, exactly like a loop of :meth:`read_counter` calls.
         """
         for chunk_index in chunk_indices:
             self._check_index(chunk_index)
         if not chunk_indices:
             return []
-        if not self.uses_fast_path:
-            return [self.read_counter(index) for index in chunk_indices]
         raws = self._read_entries(0, list(chunk_indices))
         values = [int.from_bytes(raw, "big") for raw in raws]
         self._verify_paths(chunk_indices)
         return values
 
     def increment_counter(self, chunk_index: int) -> int:
-        """Verify, increment, and re-hash the path for a chunk write."""
-        if self.uses_fast_path:
-            return self.increment_counters([chunk_index])[0]
+        """Verify, increment, and re-hash the path for a chunk write, node by node."""
         value = self.read_counter(chunk_index) + 1
         self._write_entry(0, chunk_index, value.to_bytes(COUNTER_BYTES, "big"))
         self._update_path(chunk_index)
@@ -407,14 +372,12 @@ class BonsaiMerkleCounterTree:
         paths level by level (shared interior nodes are hashed once instead of
         once per chunk -- but still *accounted* once per chunk).  Returns the
         new counter values in input order; duplicated indices increment once
-        per occurrence, exactly like repeated scalar calls.
+        per occurrence, exactly like repeated :meth:`increment_counter` calls.
         """
         for chunk_index in chunk_indices:
             self._check_index(chunk_index)
         if not chunk_indices:
             return []
-        if not self.uses_fast_path:
-            return [self.increment_counter(index) for index in chunk_indices]
         base_values = dict(zip(chunk_indices, self.read_counters(chunk_indices)))
         occurrences: dict = {}
         values = []

@@ -11,6 +11,12 @@ Both the Shield's engine sets and the Data Owner's client library use these
 helpers: the Data Owner seals input data before DMA-ing it into device memory
 and unseals results coming back, so the format must be shared.  Sub-keys are
 derived per (Data Encryption Key, region name) so no two regions share keys.
+
+A batch of chunks is sealed or unsealed as one ``(n, chunk_size)`` array:
+one cipher pass and one MAC pass for the whole batch.  Only an empty or
+ragged batch (a truncated download leaves a short last chunk) takes the
+list-based engine calls, which still reject it with
+:class:`~repro.errors.IntegrityError`.
 """
 
 from __future__ import annotations
@@ -61,9 +67,9 @@ def chunk_mac_context(region: RegionConfig, chunk_index: int, version: int) -> b
 class SealedChunk:
     """One sealed chunk: ciphertext plus its 16-byte tag.
 
-    On the vectorized fast path the ciphertext is a :class:`memoryview` row
-    sliced out of one flat batch buffer (every chunk of a batched seal shares
-    the same backing allocation); scalar seals produce plain :class:`bytes`.
+    A batched seal's ciphertext is a :class:`memoryview` row sliced out of one
+    flat batch buffer (every chunk of the batch shares the same backing
+    allocation); :meth:`RegionSealer.seal_chunk` produces plain :class:`bytes`.
     Consumers should treat it as read-only bytes-like data.
     """
 
@@ -86,8 +92,6 @@ class RegionSealer:
         key = region_key(data_encryption_key, region.name)
         self._aes_engine, self._mac_engine = build_engines(engine_config, key)
         self._obs = obs if obs is not None else obs_api.current()
-        #: Metrics label distinguishing the vectorized fast path from scalar.
-        self._path = "fast" if self._aes_engine.uses_fast_path else "scalar"
 
     @property
     def aes_engine(self) -> AesEngine:
@@ -98,11 +102,11 @@ class RegionSealer:
         return self._mac_engine
 
     def _observe(self, op: str, nbytes: int, seconds: float) -> None:
-        """Record one seal/unseal operation (bytes moved + duration, labelled
-        fast/scalar).  Callers only reach this when metrics are enabled."""
+        """Record one seal/unseal operation (bytes moved + duration).  Callers
+        only reach this when metrics are enabled."""
         metrics = self._obs.metrics
-        metrics.counter(f"crypto.{op}_bytes", path=self._path).inc(nbytes)
-        metrics.histogram(f"crypto.{op}_seconds", path=self._path).observe(seconds)
+        metrics.counter(f"crypto.{op}_bytes").inc(nbytes)
+        metrics.histogram(f"crypto.{op}_seconds").observe(seconds)
 
     def _mac_failure(self, exc: IntegrityError, chunk_indices) -> None:
         """Publish a failed tag verification on the security stream."""
@@ -150,10 +154,6 @@ class RegionSealer:
 
     # -- batched (vectorized) datapath ---------------------------------------------
 
-    def _fast_batch(self) -> bool:
-        """True when both engines run vectorized, enabling the array datapath."""
-        return self._aes_engine.uses_fast_path and self._mac_engine.uses_fast_path
-
     def _chunk_ivs_array(self, indices: list, versions: list) -> np.ndarray:
         """Vectorized :func:`chunk_iv`: one ``(n, 12)`` uint8 array for a batch."""
         n = len(indices)
@@ -188,32 +188,24 @@ class RegionSealer:
         return contexts
 
     def seal_chunks(self, indices: list, plaintexts: list, versions=0) -> list:
-        """Seal many whole chunks at once (one batched cipher pass on the fast path).
+        """Seal many whole chunks at once (one batched cipher pass).
 
         ``versions`` is either one write version shared by every chunk or a
-        per-chunk list (what a buffered pipeline flush produces).  On the fast
-        path the batch is packed into a single ``(n, chunk_size)`` array and
-        handed to :meth:`seal_chunks_array`, so the whole seal costs one
-        cipher pass, one MAC pass, and exactly one ciphertext allocation; the
-        scalar path keeps the list-based reference flow.
+        per-chunk list (what a buffered pipeline flush produces).  The batch
+        is packed into a single ``(n, chunk_size)`` array and handed to
+        :meth:`seal_chunks_array`, so the whole seal costs one cipher pass,
+        one MAC pass, and exactly one ciphertext allocation.
         """
-        indices = list(indices)
-        if isinstance(versions, int):
-            versions = [versions] * len(indices)
-        if len(versions) != len(indices) or len(plaintexts) != len(indices):
-            raise ShieldError("seal_chunks needs matching indices/plaintexts/versions")
         chunk_size = self.region.chunk_size
         for plaintext in plaintexts:
             if len(plaintext) != chunk_size:
                 raise ShieldError(
                     f"chunk plaintext must be exactly {chunk_size} bytes"
                 )
-        if not self._fast_batch():
-            return self._seal_chunk_list(indices, plaintexts, versions)
-        plaintext_array = np.empty((len(indices), chunk_size), dtype=np.uint8)
+        plaintext_array = np.empty((len(plaintexts), chunk_size), dtype=np.uint8)
         for row, plaintext in enumerate(plaintexts):
             plaintext_array[row] = np.frombuffer(plaintext, dtype=np.uint8)
-        return self._seal_array(indices, plaintext_array, versions)
+        return self.seal_chunks_array(indices, plaintext_array, versions)
 
     @hot_path
     @scalar_reference("seal_chunk")
@@ -222,8 +214,8 @@ class RegionSealer:
     ) -> list:
         """Seal a batch already staged as an ``(n, chunk_size)`` uint8 array.
 
-        The zero-copy entry point: on the fast path the rows are encrypted and
-        MACed in place-order without ever being sliced into per-chunk ``bytes``
+        The zero-copy entry point: the rows are encrypted and MACed in
+        place-order without ever being sliced into per-chunk ``bytes``
         objects, and the resulting :class:`SealedChunk` ciphertexts are
         memoryview rows of one shared output buffer.
         """
@@ -239,41 +231,6 @@ class RegionSealer:
             raise ShieldError(
                 f"chunk plaintext must be exactly {self.region.chunk_size} bytes"
             )
-        if not self._fast_batch():
-            rows = [row.tobytes() for row in plaintext_array]  # lint: allow[hot-copy] scalar fallback
-            sanitizer.note_copy("seal_chunks_array.scalar_fallback", plaintext_array.size)
-            return self._seal_chunk_list(indices, rows, versions)
-        return self._seal_array(indices, plaintext_array, versions)
-
-    def _seal_chunk_list(self, indices: list, plaintexts: list, versions: list) -> list:
-        """Scalar reference flow: list-based batch seal, bytes ciphertexts."""
-        timed = self._obs.metrics.enabled
-        start = time.perf_counter() if timed else 0.0
-        ivs = [
-            chunk_iv(self.region, index, version)
-            for index, version in zip(indices, versions)
-        ]
-        ciphertexts = self._aes_engine.encrypt_many(ivs, plaintexts)
-        tags = self._mac_engine.tag_many(
-            [
-                chunk_mac_context(self.region, index, version) + ciphertext
-                for index, version, ciphertext in zip(indices, versions, ciphertexts)
-            ]
-        )
-        if timed:
-            self._observe(
-                "seal", sum(len(p) for p in plaintexts), time.perf_counter() - start
-            )
-        return [
-            SealedChunk(chunk_index=index, ciphertext=ciphertext, tag=tag)
-            for index, ciphertext, tag in zip(indices, ciphertexts, tags)
-        ]
-
-    @hot_path
-    def _seal_array(
-        self, indices: list, plaintext_array: np.ndarray, versions: list
-    ) -> list:
-        """Fast-path batch seal over an ``(n, chunk_size)`` array."""
         timed = self._obs.metrics.enabled
         start = time.perf_counter() if timed else 0.0
         chunk_size = self.region.chunk_size
@@ -331,10 +288,11 @@ class RegionSealer:
 
         ``versions`` is one write version shared by every chunk (0 for
         write-once regions) or a per-chunk list (replay-protected regions).
-        All tags are verified first in one batched
-        :meth:`~repro.core.engines.MacEngine.verify_many` pass (any tampering
+        All tags are verified first in one batched MAC pass (any tampering
         raises :class:`~repro.errors.IntegrityError` before a single byte is
         decrypted), then all ciphertexts go through one batched decrypt pass.
+        An empty or ragged batch (a truncated download leaves a short last
+        chunk) takes the list-based engine calls instead of the array path.
         """
         if isinstance(versions, int):
             versions = [versions] * len(sealed_chunks)
@@ -376,9 +334,10 @@ class RegionSealer:
             self._observe("unseal", len(plaintext), time.perf_counter() - start)
         return plaintext if length is None else plaintext[:length]
 
-    def _batchable(self, ciphertexts: list) -> bool:
-        """Whether a batch can take the array path: fast engines, equal sizes."""
-        if not self._fast_batch() or not ciphertexts:
+    @staticmethod
+    def _batchable(ciphertexts: list) -> bool:
+        """Whether a batch can take the array path: non-empty, equal sizes."""
+        if not ciphertexts:
             return False
         chunk_len = len(ciphertexts[0])
         return chunk_len > 0 and all(len(c) == chunk_len for c in ciphertexts)
@@ -386,7 +345,7 @@ class RegionSealer:
     def _unseal_batch_array(
         self, indices: list, ciphertexts: list, tags: list, versions: list
     ) -> np.ndarray:
-        """Fast-path batch unseal; returns the ``(n, chunk_len)`` plaintext array.
+        """Array-path batch unseal; returns the ``(n, chunk_len)`` plaintext array.
 
         One ``(n, 22 + chunk_len)`` staging array carries every MAC message
         (context rows are computed vectorized), verification and decryption
@@ -415,10 +374,9 @@ class RegionSealer:
 
         The read-back twin of :meth:`seal_chunks`: the pipeline hands over the
         raw per-chunk ciphertext and tag blobs it fetched from DRAM, and gets
-        back one plaintext per chunk.  On the fast path the plaintexts are
-        memoryview rows of a single shared buffer (no per-chunk ``bytes``
-        allocation); the scalar path falls back to per-chunk
-        :meth:`unseal_chunk` calls.
+        back one plaintext per chunk: memoryview rows of a single shared
+        buffer (no per-chunk ``bytes`` allocation).  An empty or ragged batch
+        falls back to per-chunk :meth:`unseal_chunk` calls.
         """
         indices = list(indices)
         if isinstance(versions, int):
@@ -429,10 +387,10 @@ class RegionSealer:
             )
         if not self._batchable(ciphertexts):
             sanitizer.note_copy(
-                "unseal_chunks.scalar_fallback", sum(len(c) for c in ciphertexts)
+                "unseal_chunks.ragged_fallback", sum(len(c) for c in ciphertexts)
             )
             return [
-                self.unseal_chunk(index, bytes(ciphertext), bytes(tag), version)  # lint: allow[hot-copy] scalar fallback
+                self.unseal_chunk(index, bytes(ciphertext), bytes(tag), version)  # lint: allow[hot-copy] ragged fallback
                 for index, ciphertext, tag, version in zip(
                     indices, ciphertexts, tags, versions
                 )

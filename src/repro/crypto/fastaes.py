@@ -1,4 +1,4 @@
-"""Vectorized AES-CTR: the Shield's crypto fast path.
+"""Vectorized AES-CTR: the Shield engines' one AES datapath.
 
 :class:`~repro.crypto.aes.AES` transforms one 16-byte block per Python call,
 which makes the functional datapath the bottleneck of every large simulation.
@@ -12,8 +12,11 @@ The implementation reuses the scalar cipher's key schedule verbatim, so the
 output is byte-for-byte identical to :func:`repro.crypto.modes.ctr_transform`
 for every key size, IV, length, and initial counter -- a property the
 differential-conformance suite (``tests/crypto/test_fast_path_equivalence``)
-checks continuously.  Only CTR mode is provided: it is the only mode on the
-Shield's per-chunk hot path, and it needs just the forward block transform.
+checks continuously.  :class:`~repro.core.engines.AesEngine` runs every call
+on it; :mod:`repro.crypto.aes` and :mod:`repro.crypto.modes` stay as the
+from-scratch references.  Only CTR mode is provided: it is the only mode on
+the Shield's per-chunk hot path, and it needs just the forward block
+transform.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Vectorized multi-message MACs: the Shield's authentication fast path.
+"""Vectorized multi-message MACs: the Shield engines' batched MAC datapath.
 
-PR 1 vectorized AES-CTR, which moved the functional hot path's bottleneck to
-the scalar per-chunk MAC over the pure-Python SHA-256 -- exactly the
-authentication bottleneck the paper removes in Sections 6.2.3-6.2.4 by
-swapping HMAC for parallelizable PMAC.  This module removes it in simulation
-space: all chunk MACs of a region are computed in one numpy pass.
+A per-chunk MAC over the pure-Python SHA-256 is the functional model's
+authentication bottleneck -- the same bottleneck the paper removes in
+Sections 6.2.3-6.2.4 by swapping HMAC for parallelizable PMAC.  This module
+removes it in simulation space: all chunk MACs of a region are computed in
+one numpy pass.  :class:`~repro.core.engines.MacEngine` runs every batch on
+it and keeps :func:`repro.crypto.mac.compute_mac` for single messages.
 
 The batched primitives are byte-identical to their scalar references in
 :mod:`repro.crypto.mac` / :mod:`repro.crypto.hashes`:
@@ -38,7 +39,7 @@ import numpy as np
 from repro.analysis.annotations import hot_path, scalar_reference
 from repro.crypto.aes import AES, BLOCK_SIZE
 from repro.crypto.fastaes import VectorAes
-from repro.crypto.hashes import _INITIAL_STATE, _K, SHA256
+from repro.crypto.hashes import _INITIAL_STATE, _K
 from repro.crypto.mac import _cmac_subkeys, _double, hmac_key_pads
 from repro.errors import CryptoError
 

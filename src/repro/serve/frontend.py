@@ -40,7 +40,7 @@ futures*:
 
 Usage::
 
-    service = ShieldCloudService(num_boards=4, fast_crypto=True)
+    service = ShieldCloudService(num_boards=4)
     async with AsyncShieldFrontend(service, rate_limit=50.0) as frontend:
         session = service.admit_tenant("alice", accelerator)
         job = await frontend.submit(session.session_id, inputs=inputs)

@@ -14,7 +14,7 @@ import pytest
 from repro.analysis import sanitizer
 from repro.analysis.annotations import loop_owned
 from repro.core.config import EngineSetConfig, RegionConfig
-from repro.core.sealing import RegionSealer
+from repro.core.sealing import RegionSealer, chunk_iv, chunk_mac_context
 
 
 @pytest.fixture
@@ -24,12 +24,11 @@ def sanitize():
     sanitizer.disable()
 
 
-def _sealer(fast=True):
+def _sealer():
     region = RegionConfig(
         name="r0", base_address=0, size_bytes=512, chunk_size=64, engine_set="es"
     )
-    engine_config = EngineSetConfig(name="es", fast_crypto=fast)
-    return RegionSealer(b"\x42" * 32, region, engine_config)
+    return RegionSealer(b"\x42" * 32, region, EngineSetConfig(name="es"))
 
 
 def _chunk_rows(n=4, length=64, seed=5):
@@ -131,21 +130,22 @@ class TestThreadOwnership:
 
 
 class TestCopyCounter:
-    def test_counts_scalar_fallback_copies(self, sanitize):
-        # A scalar-engine sealer cannot take the array path, so unseal_chunks
-        # reports its fallback copies into any open counter.
-        sealer = _sealer(fast=False)
+    def test_counts_ragged_fallback_copies(self, sanitize):
+        # A ragged batch (here a short last chunk) cannot take the array
+        # path, so unseal_chunks reports its fallback copies into any open
+        # counter.
+        sealer = _sealer()
         rows = _chunk_rows(n=2, seed=9)
         sealed = [sealer.seal_chunk(i, rows[i].tobytes()) for i in range(2)]
+        short = sealer.aes_engine.encrypt(chunk_iv(sealer.region, 1), rows[1, :40].tobytes())
+        tag = sealer.mac_engine.tag(chunk_mac_context(sealer.region, 1, 0) + short)
         with sanitizer.counting_copies() as counter:
             plaintexts = sealer.unseal_chunks(
-                [c.chunk_index for c in sealed],
-                [c.ciphertext for c in sealed],
-                [c.tag for c in sealed],
+                [0, 1], [sealed[0].ciphertext, short], [sealed[0].tag, tag]
             )
-        assert [bytes(p) for p in plaintexts] == [r.tobytes() for r in rows]
+        assert [bytes(p) for p in plaintexts] == [rows[0].tobytes(), rows[1, :40].tobytes()]
         assert counter.copies >= 1
-        assert "unseal_chunks.scalar_fallback" in counter.sites
+        assert "unseal_chunks.ragged_fallback" in counter.sites
 
     def test_fast_path_is_copy_free(self, sanitize):
         sealer = _sealer()

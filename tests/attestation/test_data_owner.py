@@ -1,11 +1,14 @@
 """Data Owner tests: key generation, Load-Key wrapping, data sealing."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.attestation.data_owner import DataOwner
 from repro.crypto.rsa import rsa_decrypt
 from repro.errors import AttestationError, IntegrityError
 from tests.conftest import make_small_shield_config
+from tests.reference_sealer import ReferenceSealer
 
 
 @pytest.fixture()
@@ -44,6 +47,41 @@ def test_wrap_load_key_not_decryptable_by_other_key(owner, rsa_key, small_rsa_ke
     delivery = owner.wrap_load_key(rsa_key.public_key.encode(), "shield-a")
     with pytest.raises(Exception):
         rsa_decrypt(small_rsa_key, delivery.wrapped_key)
+
+
+@pytest.mark.parametrize("key_bits", [128, 256])
+@pytest.mark.parametrize("mac_algorithm", ["HMAC", "PMAC", "CMAC"])
+def test_sealed_format_matches_reference_sealer(owner, mac_algorithm, key_bits):
+    config = make_small_shield_config("format-shield", mac_algorithm=mac_algorithm)
+    config.engine_sets = [
+        replace(engine_set, aes_key_bits=key_bits) for engine_set in config.engine_sets
+    ]
+    key = owner.generate_data_key(config.shield_id).material
+    plaintext = bytes((7 * i + 3) % 256 for i in range(3 * 256 + 100))  # padded tail
+
+    staged = owner.seal_input(config, "input", plaintext, shield_id=config.shield_id)
+    expected = ReferenceSealer(
+        key, config.region("input"), config.engine_set("es-in")
+    ).seal_region(plaintext)
+    assert [bytes(c.ciphertext) for c in staged.sealed_chunks] == [
+        c.ciphertext for c in expected
+    ]
+    assert staged.tags() == [c.tag for c in expected]
+
+    versions = [5, 1, 0, 9]
+    reference = ReferenceSealer(key, config.region("output"), config.engine_set("es-out"))
+    sealed = reference.seal_region(plaintext, versions=versions)
+    recovered = owner.unseal_output_with_versions(
+        config, "output", sealed, versions, length=len(plaintext),
+        shield_id=config.shield_id,
+    )
+    assert recovered == reference.unseal_region(sealed, len(plaintext), versions)
+    assert recovered == plaintext
+    with pytest.raises(IntegrityError):
+        owner.unseal_output_with_versions(
+            config, "output", sealed, [v + 1 for v in versions],
+            shield_id=config.shield_id,
+        )
 
 
 def test_seal_and_unseal_region_data(owner, config):

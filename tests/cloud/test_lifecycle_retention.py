@@ -26,7 +26,7 @@ import weakref
 import pytest
 
 import repro.obs as obs_api
-from repro.accelerators import VectorAddAccelerator
+from repro.accelerators import AffineTransformAccelerator, VectorAddAccelerator
 from repro.cloud import FleetScheduler, JobState, ShieldCloudService
 from repro.cloud.scheduler import AcceleratorJob
 from repro.errors import CloudError
@@ -44,7 +44,6 @@ TERMINAL = (
 
 def _service(**kwargs):
     kwargs.setdefault("num_boards", 2)
-    kwargs.setdefault("fast_crypto", True)
     return ShieldCloudService(**kwargs)
 
 
@@ -159,6 +158,20 @@ def test_unbounded_retention_keeps_everything():
     service.run_until_idle()
     assert len(service.terminal_jobs) == 3
     assert service.stats.jobs_retired == 0
+
+
+def test_boards_used_records_each_board_once():
+    # 50 warm jobs of one session on one board: the session's board list
+    # stays one entry long instead of growing by one per job.
+    service = _service(num_boards=1)
+    accel = AffineTransformAccelerator(16)
+    session = service.admit_tenant("alice", accel)
+    for seed in range(50):
+        service.submit_job(session.session_id, inputs=accel.prepare_inputs(seed=seed))
+    service.run_until_idle()
+    assert service.stats.jobs_completed == 50
+    assert service.fleet_summary()["affinity_hits"] == 49
+    assert session.boards_used == ["board-0"]
 
 
 def test_invalid_retention_is_rejected():

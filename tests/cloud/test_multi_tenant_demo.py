@@ -30,7 +30,7 @@ def demo_world():
         "bob": MatMulAccelerator(32),
         "carol": AffineTransformAccelerator(64),
     }
-    service = ShieldCloudService(num_boards=2, fast_crypto=True)
+    service = ShieldCloudService(num_boards=2)
     sessions = {
         tenant: service.admit_tenant(tenant, accelerator)
         for tenant, accelerator in tenants.items()

@@ -15,7 +15,7 @@ import pytest
 
 import repro.obs as obs_api
 from repro.accelerators import VectorAddAccelerator
-from repro.cloud import ShieldCloudService
+from repro.cloud import JobState, ShieldCloudService
 from repro.obs import JOB_STAGES, lifecycle_signature
 from repro.sim.cloud import CloudSimulator, TraceEvent
 
@@ -30,7 +30,6 @@ def obs():
 
 def _service(**kwargs):
     kwargs.setdefault("num_boards", 1)
-    kwargs.setdefault("fast_crypto", True)
     return ShieldCloudService(**kwargs)
 
 
@@ -238,6 +237,41 @@ def test_mac_failure_and_attack_detection_on_tampered_download(obs):
     assert job_span.attrs["completed"] is False
 
 
+def test_truncated_download_is_an_attack_not_a_crash(obs):
+    service = _service()
+    accel = VectorAddAccelerator(ACCEL_BYTES)
+    session = service.admit_tenant("mallory", accel)
+    job = service.submit_job(
+        session.session_id,
+        inputs=accel.prepare_inputs(seed=1),
+        output_regions={"c0": None},
+    )
+
+    # A host that drops the last 100 bytes of the output region hands the
+    # tenant a ragged batch (a short last chunk).  The unseal must reject it
+    # as tampering, with the same security events as a flipped bit.
+    board = service.slots["board-0"].board
+    original = board.shell.host_dma_read
+
+    def truncating_read(address: int, length: int) -> bytes:
+        data = original(address, length)
+        return data[:-100] if length > 64 else data
+
+    board.shell.host_dma_read = truncating_read
+    try:
+        service.run_until_idle()
+    finally:
+        board.shell.host_dma_read = original
+
+    assert job.state is JobState.FAILED
+    assert job.error == "HMAC tag mismatch"
+    attacks = obs.tracer.security_events("attack_detected")
+    assert [event.tenant for event in attacks] == ["mallory"]
+    failures = obs.tracer.security_events("mac_failure")
+    assert len(failures) == 1
+    assert failures[0].attrs["region"] == "c0"
+
+
 # ---------------------------------------------------------------------------
 # Stats / fleet_summary are registry views
 # ---------------------------------------------------------------------------
@@ -277,7 +311,7 @@ def _conformance_signatures():
     order = ["alice", "alice", "bob", "bob"]
 
     with obs_api.scoped() as functional_obs:
-        service = ShieldCloudService(num_boards=1, fast_crypto=True, policy="fifo")
+        service = ShieldCloudService(num_boards=1, policy="fifo")
         sessions = {
             tenant: service.admit_tenant(tenant, VectorAddAccelerator(ACCEL_BYTES))
             for tenant in ("alice", "bob")

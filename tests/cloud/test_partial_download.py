@@ -21,7 +21,7 @@ _CHUNK = 512  # the vector-add accelerator's C_mem
 @pytest.fixture(scope="module")
 def finished_job():
     accelerator = VectorAddAccelerator(8 * 1024)  # 2 KiB per partition, 4 chunks
-    service = ShieldCloudService(num_boards=1, fast_crypto=True)
+    service = ShieldCloudService(num_boards=1)
     session = service.admit_tenant("dana", accelerator)
     inputs = accelerator.prepare_inputs(seed=5)
     job = service.submit_job(

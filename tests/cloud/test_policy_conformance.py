@@ -56,9 +56,7 @@ def _accelerators():
 def _build_world(num_boards: int, policy: str):
     """A service with one session per tenant, plus per-tenant accelerators."""
     accelerators = _accelerators()
-    service = ShieldCloudService(
-        num_boards=num_boards, fast_crypto=True, policy=policy, affinity=True
-    )
+    service = ShieldCloudService(num_boards=num_boards, policy=policy, affinity=True)
     sessions = {
         tenant: service.admit_tenant(tenant, accelerator)
         for tenant, accelerator in accelerators.items()

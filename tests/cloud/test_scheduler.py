@@ -86,7 +86,7 @@ def test_unknown_session_cannot_submit():
 
 
 def test_closed_session_cannot_submit():
-    service = ShieldCloudService(num_boards=1, fast_crypto=True)
+    service = ShieldCloudService(num_boards=1)
     accel = VectorAddAccelerator(8 * 1024)
     session = service.admit_tenant("alice", accel)
     service.close_session(session.session_id)
@@ -96,7 +96,7 @@ def test_closed_session_cannot_submit():
 
 
 def test_closing_a_session_cancels_its_queued_jobs():
-    service = ShieldCloudService(num_boards=1, fast_crypto=True)
+    service = ShieldCloudService(num_boards=1)
     accel = VectorAddAccelerator(8 * 1024)
     doomed = service.admit_tenant("doomed", accel)
     survivor = service.admit_tenant("survivor", accel)
@@ -126,7 +126,7 @@ def test_closing_a_session_cancels_its_queued_jobs():
 
 
 def test_board_is_reused_after_session_teardown():
-    service = ShieldCloudService(num_boards=1, fast_crypto=True)
+    service = ShieldCloudService(num_boards=1)
     accel_a = VectorAddAccelerator(8 * 1024)
     accel_b = MatMulAccelerator(32)
 
@@ -155,7 +155,7 @@ def test_board_is_reused_after_session_teardown():
 
 
 def test_same_session_runs_many_jobs_on_one_board():
-    service = ShieldCloudService(num_boards=1, fast_crypto=True)
+    service = ShieldCloudService(num_boards=1)
     accel = VectorAddAccelerator(8 * 1024)
     session = service.admit_tenant("looper", accel)
     jobs = [
@@ -173,7 +173,7 @@ def test_dangling_session_id_still_frees_the_board():
     """Regression: the session lookup in run_next_job happens after the board
     is acquired, so a dangling session id used to leave the job RUNNING and
     the board leaked out of the free pool forever."""
-    service = ShieldCloudService(num_boards=1, fast_crypto=True)
+    service = ShieldCloudService(num_boards=1)
     accel = VectorAddAccelerator(8 * 1024)
     session = service.admit_tenant("ghost", accel)
     orphan = service.submit_job(session.session_id, inputs=accel.prepare_inputs(seed=6))
@@ -195,7 +195,7 @@ def test_dangling_session_id_still_frees_the_board():
 
 
 def test_failed_job_frees_the_board():
-    service = ShieldCloudService(num_boards=1, fast_crypto=True)
+    service = ShieldCloudService(num_boards=1)
     accel = VectorAddAccelerator(8 * 1024)
     session = service.admit_tenant("fumble", accel)
     # Garbage input region name makes sealing fail inside job execution.

@@ -24,7 +24,7 @@ from repro.errors import CloudError, IntegrityError, TenantIsolationError
 
 @pytest.fixture()
 def service():
-    return ShieldCloudService(num_boards=1, fast_crypto=True)
+    return ShieldCloudService(num_boards=1)
 
 
 def _run_two_tenants(service):
@@ -228,7 +228,7 @@ def test_close_session_is_idempotent(service):
 
 
 def test_ledger_limit_bounds_host_observations():
-    service = ShieldCloudService(num_boards=1, fast_crypto=True, ledger_limit=5)
+    service = ShieldCloudService(num_boards=1, ledger_limit=5)
     accel = VectorAddAccelerator(8 * 1024)
     session = service.admit_tenant("bounded", accel)
     service.submit_job(session.session_id, inputs=accel.prepare_inputs(seed=51))
@@ -238,7 +238,7 @@ def test_ledger_limit_bounds_host_observations():
 
 def test_audit_tap_survives_attacker_tap():
     """A snooping Shell tap installed later must not sever the audit trail."""
-    service = ShieldCloudService(num_boards=1, fast_crypto=True)
+    service = ShieldCloudService(num_boards=1)
     board = service.slots["board-0"].board
     snooped = []
     board.shell.install_dma_tap(lambda kind, addr, data: snooped.append(kind))

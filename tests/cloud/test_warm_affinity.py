@@ -20,7 +20,6 @@ ACCEL_BYTES = 8 * 1024
 
 def _service(**kwargs):
     kwargs.setdefault("num_boards", 1)
-    kwargs.setdefault("fast_crypto", True)
     return ShieldCloudService(**kwargs)
 
 

@@ -1,11 +1,12 @@
-"""Conformance tests pinning every batched entry point to its scalar twin.
+"""Conformance tests pinning every batched entry point to its scalar reference.
 
 The fast/scalar parity checker (``repro.analysis``, checker ``fast-parity``)
 requires each public ``*_many`` / ``*_array`` function to carry a
 ``@scalar_reference`` decorator *and* to appear in the test corpus.  This
 module is that corpus entry for the array-native entry points: every test
-drives the fast path and asserts byte-for-byte agreement with the registered
-scalar reference.
+drives a batched call and asserts byte-for-byte agreement with the
+from-scratch references (:func:`~repro.crypto.modes.ctr_transform`,
+:func:`~repro.crypto.mac.compute_mac` and the reference sealer).
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.crypto.aes import AES
 from repro.errors import IntegrityError
 from repro.hw.axi import AxiPort, memory_backed_handler
 from repro.hw.memory import DeviceMemory
+from tests.reference_sealer import ReferenceSealer
 
 
 def _rows(n, length, seed=7):
@@ -39,46 +41,45 @@ KEY = bytes(range(16))
 
 
 class TestAesEngineArrayParity:
-    def test_encrypt_many_array_matches_scalar_encrypt(self):
-        fast = AesEngine(KEY, fast_crypto=True)
-        scalar = AesEngine(KEY, fast_crypto=False)
+    def test_encrypt_many_array_matches_ctr_transform(self):
         ivs, plaintexts = _ivs(5), _rows(5, 64)
-        out = fast.encrypt_many_array(ivs, plaintexts)
+        out = AesEngine(KEY).encrypt_many_array(ivs, plaintexts)
         for row in range(5):
-            assert out[row].tobytes() == scalar.encrypt(
-                ivs[row].tobytes(), plaintexts[row].tobytes()
+            assert out[row].tobytes() == ctr_transform(
+                AES(KEY), ivs[row].tobytes(), plaintexts[row].tobytes()
             )
 
-    def test_decrypt_many_array_matches_scalar_decrypt(self):
-        fast = AesEngine(KEY, fast_crypto=True)
-        scalar = AesEngine(KEY, fast_crypto=False)
+    def test_decrypt_many_array_matches_ctr_transform(self):
         ivs, ciphertexts = _ivs(4, seed=3), _rows(4, 48, seed=4)
-        out = fast.decrypt_many_array(ivs, ciphertexts)
+        out = AesEngine(KEY).decrypt_many_array(ivs, ciphertexts)
         for row in range(4):
-            assert out[row].tobytes() == scalar.decrypt(
-                ivs[row].tobytes(), ciphertexts[row].tobytes()
+            assert out[row].tobytes() == ctr_transform(
+                AES(KEY), ivs[row].tobytes(), ciphertexts[row].tobytes()
             )
+
+
+def _reference_tag(algorithm, message):
+    key = KEY * 2 if algorithm == "HMAC" else KEY
+    return compute_mac(algorithm, key, message)[:16]
 
 
 class TestMacEngineArrayParity:
     @pytest.mark.parametrize("algorithm", ["HMAC", "PMAC", "CMAC"])
-    def test_tag_many_array_matches_scalar_tag(self, algorithm):
-        fast = MacEngine(KEY * 2, algorithm, fast_crypto=True)
-        scalar = MacEngine(KEY * 2, algorithm, fast_crypto=False)
+    def test_tag_many_array_matches_compute_mac(self, algorithm):
         messages = _rows(6, 80)
-        tags = fast.tag_many_array(messages)
+        tags = MacEngine(KEY * 2, algorithm).tag_many_array(messages)
         for row in range(6):
-            assert tags[row].tobytes() == scalar.tag(messages[row].tobytes())
+            assert tags[row].tobytes() == _reference_tag(
+                algorithm, messages[row].tobytes()
+            )
 
-    def test_verify_many_array_accepts_scalar_tags(self):
-        fast = MacEngine(KEY * 2, "HMAC", fast_crypto=True)
-        scalar = MacEngine(KEY * 2, "HMAC", fast_crypto=False)
+    def test_verify_many_array_accepts_reference_tags(self):
         messages = _rows(3, 40, seed=9)
-        tags = [scalar.tag(messages[row].tobytes()) for row in range(3)]
-        fast.verify_many_array(messages, tags)  # must not raise
+        tags = [_reference_tag("HMAC", messages[row].tobytes()) for row in range(3)]
+        MacEngine(KEY * 2, "HMAC").verify_many_array(messages, tags)  # must not raise
 
     def test_verify_many_array_rejects_tampering(self):
-        engine = MacEngine(KEY * 2, "HMAC", fast_crypto=True)
+        engine = MacEngine(KEY * 2, "HMAC")
         messages = _rows(3, 40, seed=10)
         tags = [t.tobytes() for t in engine.tag_many_array(messages)]
         tags[1] = bytes(16)
@@ -114,37 +115,40 @@ class TestCryptoArrayParity:
 
 
 class TestSealerArrayParity:
-    def _sealer(self):
-        region = RegionConfig(
-            name="r0", base_address=0, size_bytes=512, chunk_size=64, engine_set="es"
-        )
-        engine_config = EngineSetConfig(name="es", fast_crypto=True)
-        return RegionSealer(b"\x42" * 32, region, engine_config)
+    REGION = RegionConfig(
+        name="r0", base_address=0, size_bytes=512, chunk_size=64, engine_set="es"
+    )
 
-    def test_seal_chunks_array_matches_seal_chunk(self):
-        fast, scalar = self._sealer(), self._sealer()
+    def _sealers(self):
+        config = EngineSetConfig(name="es")
+        return (
+            RegionSealer(b"\x42" * 32, self.REGION, config),
+            ReferenceSealer(b"\x42" * 32, self.REGION, config),
+        )
+
+    def test_seal_chunks_array_matches_reference(self):
+        sealer, reference = self._sealers()
         plaintexts = _rows(4, 64, seed=51)
-        sealed = fast.seal_chunks_array([0, 1, 2, 3], plaintexts)
+        versions = [0, 3, 1, 7]
+        sealed = sealer.seal_chunks_array([0, 1, 2, 3], plaintexts, versions)
         for row, chunk in enumerate(sealed):
-            reference = scalar.seal_chunk(row, plaintexts[row].tobytes())
-            assert bytes(chunk.ciphertext) == bytes(reference.ciphertext)
-            assert bytes(chunk.tag) == bytes(reference.tag)
+            expected = reference.seal(row, plaintexts[row].tobytes(), versions[row])
+            assert bytes(chunk.ciphertext) == expected.ciphertext
+            assert chunk.tag == expected.tag
 
-    def test_unseal_chunks_matches_unseal_chunk(self):
-        sealer = self._sealer()
+    def test_unseal_chunks_matches_reference(self):
+        sealer, reference = self._sealers()
         plaintexts = _rows(4, 64, seed=52)
-        sealed = sealer.seal_chunks_array([0, 1, 2, 3], plaintexts)
+        expected = [reference.seal(row, plaintexts[row].tobytes()) for row in range(4)]
         out = sealer.unseal_chunks(
-            [c.chunk_index for c in sealed],
-            [c.ciphertext for c in sealed],
-            [c.tag for c in sealed],
+            [c.chunk_index for c in expected],
+            [c.ciphertext for c in expected],
+            [c.tag for c in expected],
         )
-        reference = self._sealer()
         for row, plain in enumerate(out):
-            scalar = reference.unseal_chunk(
-                row, bytes(sealed[row].ciphertext), bytes(sealed[row].tag)
+            assert bytes(plain) == plaintexts[row].tobytes() == reference.unseal(
+                row, expected[row].ciphertext, expected[row].tag
             )
-            assert bytes(plain) == bytes(scalar) == plaintexts[row].tobytes()
 
 
 class TestAxiPortManyParity:

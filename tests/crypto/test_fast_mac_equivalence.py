@@ -1,4 +1,4 @@
-"""Differential conformance: the batched MAC fast path vs the scalar references.
+"""Differential conformance: the batched MAC datapath vs the scalar references.
 
 Mirrors ``test_fast_path_equivalence`` for the authentication side: the
 vectorized multi-message SHA-256 / HMAC / PMAC / CMAC in
@@ -25,10 +25,10 @@ from repro.crypto.fasthash import (
     fast_mac_many,
     sha256_many,
 )
-from repro.crypto.fastpath import fast_path
 from repro.crypto.hashes import sha256
 from repro.crypto.mac import aes_cmac, aes_pmac, compute_mac, hmac_sha256
 from repro.errors import CryptoError, IntegrityError
+from tests.reference_sealer import ReferenceSealer
 
 
 def _rand_bytes(rnd: random.Random, length: int) -> bytes:
@@ -143,44 +143,26 @@ def test_batched_mac_state_is_reusable_across_ragged_batches(algorithm):
 
 
 # ---------------------------------------------------------------------------
-# Engine level: tag_many / verify_many across both paths
+# Engine level: tag_many / verify_many against compute_mac
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("algorithm", ["HMAC", "PMAC", "CMAC"])
-def test_engine_tag_many_identical_between_paths(algorithm):
+def test_engine_tag_many_matches_compute_mac(algorithm):
     rnd = random.Random(207)
     key = _rand_bytes(rnd, 32)
-    scalar_engine = MacEngine(key, algorithm, fast_crypto=False)
-    fast_engine = MacEngine(key, algorithm, fast_crypto=True)
+    engine = MacEngine(key, algorithm)
+    mac_key = key if algorithm == "HMAC" else key[:16]
     messages = [_rand_bytes(rnd, rnd.randrange(0, 300)) for _ in range(9)]
-    scalar_tags = scalar_engine.tag_many(messages)
-    fast_tags = fast_engine.tag_many(messages)
-    assert scalar_tags == fast_tags
-    # Batched tags equal per-message tag() (truncated to 16 bytes) on both paths.
-    assert fast_tags == [scalar_engine.tag(m) for m in messages]
-    assert all(len(tag) == 16 for tag in fast_tags)
-    # Cross-path verification: tags from one path verify on the other.
-    scalar_engine.verify_many(messages, fast_tags)
-    fast_engine.verify_many(messages, scalar_tags)
+    expected = [compute_mac(algorithm, mac_key, m)[:16] for m in messages]
+    assert engine.tag_many(messages) == expected
+    assert [engine.tag(m) for m in messages] == expected
+    engine.verify_many(messages, expected)
 
 
-def test_engine_tag_many_inherits_process_wide_switch():
-    rnd = random.Random(208)
-    engine = MacEngine(_rand_bytes(rnd, 32))
-    messages = [_rand_bytes(rnd, 100) for _ in range(4)]
-    with fast_path(False):
-        scalar_tags = engine.tag_many(messages)
-        assert not engine.uses_fast_path
-    with fast_path(True):
-        assert engine.uses_fast_path
-        assert engine.tag_many(messages) == scalar_tags
-
-
-@pytest.mark.parametrize("fast", [False, True])
-def test_engine_verify_many_rejects_tampering(fast):
+def test_engine_verify_many_rejects_tampering():
     rnd = random.Random(209)
-    engine = MacEngine(_rand_bytes(rnd, 32), "HMAC", fast_crypto=fast)
+    engine = MacEngine(_rand_bytes(rnd, 32), "HMAC")
     messages = [_rand_bytes(rnd, 128) for _ in range(6)]
     tags = engine.tag_many(messages)
     for victim in (0, 3, 5):
@@ -201,51 +183,55 @@ def test_engine_verify_many_rejects_tampering(fast):
 # ---------------------------------------------------------------------------
 
 
-def _sealer(fast: bool | None, mac_algorithm: str) -> RegionSealer:
+def _sealers(mac_algorithm: str) -> tuple:
     region = RegionConfig(
         name="mac-conformance", base_address=0, size_bytes=8192, chunk_size=512,
         engine_set="es",
     )
-    engine_config = EngineSetConfig(
-        name="es", mac_algorithm=mac_algorithm, fast_crypto=fast
+    engine_config = EngineSetConfig(name="es", mac_algorithm=mac_algorithm)
+    return (
+        RegionSealer(b"\x77" * 32, region, engine_config),
+        ReferenceSealer(b"\x77" * 32, region, engine_config),
     )
-    return RegionSealer(b"\x77" * 32, region, engine_config)
 
 
 @pytest.mark.parametrize("mac_algorithm", ["HMAC", "PMAC", "CMAC"])
-def test_batched_region_seal_tags_identical_between_paths(mac_algorithm):
+def test_batched_region_seal_tags_match_reference(mac_algorithm):
     rnd = random.Random(210)
     plaintext = _rand_bytes(rnd, 8192 - 123)  # exercises tail padding
-    scalar = _sealer(False, mac_algorithm).seal_region_data(plaintext)
-    fast = _sealer(True, mac_algorithm).seal_region_data(plaintext)
-    assert [c.tag for c in scalar] == [c.tag for c in fast]
-    assert [c.ciphertext for c in scalar] == [c.ciphertext for c in fast]
-    # Cross-path round-trips: sealed on one path, unsealed on the other.
-    assert _sealer(False, mac_algorithm).unseal_region_data(fast, len(plaintext)) == plaintext
-    assert _sealer(True, mac_algorithm).unseal_region_data(scalar, len(plaintext)) == plaintext
+    sealer, reference = _sealers(mac_algorithm)
+    sealed = sealer.seal_region_data(plaintext)
+    expected = reference.seal_region(plaintext)
+    assert [c.tag for c in sealed] == [c.tag for c in expected]
+    assert [bytes(c.ciphertext) for c in sealed] == [c.ciphertext for c in expected]
+    # Cross round-trips: sealed on one side, unsealed on the other.
+    assert reference.unseal_region(sealed, len(plaintext)) == plaintext
+    assert sealer.unseal_region_data(expected, len(plaintext)) == plaintext
 
 
-def test_batched_unseal_rejects_tampered_chunk_on_both_paths():
+def test_batched_unseal_rejects_tampered_chunk():
     rnd = random.Random(211)
-    sealed = _sealer(True, "HMAC").seal_region_data(_rand_bytes(rnd, 4096))
+    sealer, reference = _sealers("HMAC")
+    sealed = sealer.seal_region_data(_rand_bytes(rnd, 4096))
     victim = rnd.randrange(len(sealed))
     bad_tag = bytearray(sealed[victim].tag)
     bad_tag[rnd.randrange(16)] ^= 0x40
     sealed[victim].tag = bytes(bad_tag)
-    for path in (False, True):
+    for unseal in (sealer.unseal_region_data, reference.unseal_region):
         with pytest.raises(IntegrityError):
-            _sealer(path, "HMAC").unseal_region_data(sealed)
+            unseal(sealed)
 
 
-def test_batched_unseal_with_versions_identical_between_paths():
+def test_batched_seal_and_unseal_with_versions_match_reference():
     rnd = random.Random(212)
     versions = [rnd.randrange(5) for _ in range(4)]
     plaintexts = [_rand_bytes(rnd, 512) for _ in range(4)]
-    scalar_sealer = _sealer(False, "HMAC")
-    fast_sealer = _sealer(True, "HMAC")
-    sealed = scalar_sealer.seal_chunks(list(range(4)), plaintexts, versions)
-    assert sealed == fast_sealer.seal_chunks(list(range(4)), plaintexts, versions)
-    recovered = fast_sealer.unseal_region_data(sealed, versions=versions)
+    sealer, reference = _sealers("HMAC")
+    sealed = sealer.seal_chunks(list(range(4)), plaintexts, versions)
+    expected = reference.seal_region(b"".join(plaintexts), versions=versions)
+    assert [bytes(c.ciphertext) for c in sealed] == [c.ciphertext for c in expected]
+    assert [c.tag for c in sealed] == [c.tag for c in expected]
+    recovered = sealer.unseal_region_data(expected, versions=versions)
     assert recovered == b"".join(plaintexts)
     with pytest.raises(IntegrityError):
-        fast_sealer.unseal_region_data(sealed, versions=[v + 1 for v in versions])
+        sealer.unseal_region_data(sealed, versions=[v + 1 for v in versions])

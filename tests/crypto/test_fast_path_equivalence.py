@@ -1,7 +1,7 @@
-"""Differential conformance: the vectorized AES-CTR fast path vs the scalar reference.
+"""Differential conformance: the vectorized AES-CTR datapath vs the scalar reference.
 
-The fast path is only allowed to exist because it is *byte-identical* to the
-pure-Python reference.  These tests are property-based in the
+The vectorized path is only allowed to exist because it is *byte-identical*
+to the pure-Python reference.  These tests are property-based in the
 hypothesis style -- seeded random loops sweep keys, IVs, lengths, counter
 offsets, and tamperings -- but use explicit ``random.Random`` seeds so every
 failure replays deterministically.
@@ -24,9 +24,9 @@ from repro.crypto.fastaes import (
     fast_ctr_transform,
     fast_ctr_transform_many,
 )
-from repro.crypto.fastpath import fast_path, fast_path_enabled, set_fast_path
 from repro.crypto.modes import ctr_keystream, ctr_transform
 from repro.errors import CryptoError, IntegrityError
+from tests.reference_sealer import ReferenceSealer
 
 
 def _rand_bytes(rnd: random.Random, length: int) -> bytes:
@@ -130,125 +130,103 @@ def test_ctr_transform_many_validates_inputs():
 
 
 # ---------------------------------------------------------------------------
-# Engine and sealer level: ciphertext AND tags must be identical
+# Engine and sealer level: ciphertext AND tags must match the references
 # ---------------------------------------------------------------------------
 
 
-def _sealer(fast: bool | None, mac_algorithm: str = "HMAC") -> RegionSealer:
+def _sealers(mac_algorithm: str = "HMAC") -> tuple:
     region = RegionConfig(
         name="conformance", base_address=0, size_bytes=4096, chunk_size=256,
         engine_set="es",
     )
-    engine_config = EngineSetConfig(
-        name="es", mac_algorithm=mac_algorithm, fast_crypto=fast
+    engine_config = EngineSetConfig(name="es", mac_algorithm=mac_algorithm)
+    return (
+        RegionSealer(b"\x55" * 32, region, engine_config),
+        ReferenceSealer(b"\x55" * 32, region, engine_config),
     )
-    return RegionSealer(b"\x55" * 32, region, engine_config)
+
+
+@pytest.mark.parametrize("key_bits", [128, 256])
+def test_engine_matches_reference_ctr_transform(key_bits):
+    rnd = random.Random(98)
+    key = _rand_bytes(rnd, key_bits // 8)
+    engine = AesEngine(key, key_bits=key_bits)
+    cipher = AES(key)
+    ivs = [_rand_bytes(rnd, 12) for _ in range(5)]
+    chunks = [_rand_bytes(rnd, 256) for _ in range(5)]
+    expected = [ctr_transform(cipher, iv, c) for iv, c in zip(ivs, chunks)]
+    assert [engine.encrypt(iv, c) for iv, c in zip(ivs, chunks)] == expected
+    assert engine.encrypt_many(ivs, chunks) == expected
+    assert engine.decrypt_many(ivs, expected) == chunks
+    # A ragged batch (a truncated download's short last chunk) still
+    # transforms chunk by chunk.
+    ragged = chunks[:3] + [chunks[3][:100], b""]
+    assert engine.decrypt_many(ivs, ragged) == [
+        ctr_transform(cipher, iv, c) for iv, c in zip(ivs, ragged)
+    ]
 
 
 @pytest.mark.parametrize("mac_algorithm", ["HMAC", "PMAC", "CMAC"])
-def test_sealed_chunks_identical_between_paths(mac_algorithm):
+def test_sealed_chunks_match_reference(mac_algorithm):
     rnd = random.Random(99)
-    scalar_sealer = _sealer(False, mac_algorithm)
-    fast_sealer = _sealer(True, mac_algorithm)
+    sealer, reference = _sealers(mac_algorithm)
     for chunk_index in range(6):
         plaintext = _rand_bytes(rnd, 256)
         version = rnd.randrange(4)
-        scalar = scalar_sealer.seal_chunk(chunk_index, plaintext, version)
-        fast = fast_sealer.seal_chunk(chunk_index, plaintext, version)
-        assert scalar.ciphertext == fast.ciphertext
-        assert scalar.tag == fast.tag
-        # Cross-path unsealing: fast-sealed chunks verify on the scalar path.
-        assert scalar_sealer.unseal_chunk(
-            chunk_index, fast.ciphertext, fast.tag, version
+        sealed = sealer.seal_chunk(chunk_index, plaintext, version)
+        expected = reference.seal(chunk_index, plaintext, version)
+        assert sealed.ciphertext == expected.ciphertext
+        assert sealed.tag == expected.tag
+        # Cross-unsealing: each side accepts the other's chunks.
+        assert reference.unseal(
+            chunk_index, sealed.ciphertext, sealed.tag, version
         ) == plaintext
-        assert fast_sealer.unseal_chunk(
-            chunk_index, scalar.ciphertext, scalar.tag, version
+        assert sealer.unseal_chunk(
+            chunk_index, expected.ciphertext, expected.tag, version
         ) == plaintext
 
 
-def test_region_batch_sealing_identical_between_paths():
+def test_region_batch_sealing_matches_reference():
     rnd = random.Random(101)
     plaintext = _rand_bytes(rnd, 4096 - 77)  # exercises tail padding
-    scalar = _sealer(False).seal_region_data(plaintext)
-    fast = _sealer(True).seal_region_data(plaintext)
-    assert [c.ciphertext for c in scalar] == [c.ciphertext for c in fast]
-    assert [c.tag for c in scalar] == [c.tag for c in fast]
-    assert _sealer(True).unseal_region_data(scalar, len(plaintext)) == plaintext
-    assert _sealer(False).unseal_region_data(fast, len(plaintext)) == plaintext
+    sealer, reference = _sealers()
+    sealed = sealer.seal_region_data(plaintext)
+    expected = reference.seal_region(plaintext)
+    assert [bytes(c.ciphertext) for c in sealed] == [c.ciphertext for c in expected]
+    assert [c.tag for c in sealed] == [c.tag for c in expected]
+    assert sealer.unseal_region_data(expected, len(plaintext)) == plaintext
+    assert reference.unseal_region(sealed, len(plaintext)) == plaintext
 
 
-def test_tampered_tags_fail_identically_on_both_paths():
+def test_tampered_tags_fail_on_sealer_and_reference():
     rnd = random.Random(103)
-    plaintext = _rand_bytes(rnd, 256)
-    sealed = _sealer(True).seal_chunk(3, plaintext)
+    sealer, reference = _sealers()
+    sealed = sealer.seal_chunk(3, _rand_bytes(rnd, 256))
     for tamper in range(10):
         position = rnd.randrange(len(sealed.tag))
         bad_tag = bytearray(sealed.tag)
         bad_tag[position] ^= 1 << rnd.randrange(8)
-        for path in (False, True):
+        for unseal in (sealer.unseal_chunk, reference.unseal):
             with pytest.raises(IntegrityError):
-                _sealer(path).unseal_chunk(3, sealed.ciphertext, bytes(bad_tag))
+                unseal(3, sealed.ciphertext, bytes(bad_tag))
 
 
-def test_tampered_ciphertext_fails_identically_on_both_paths():
+def test_tampered_ciphertext_fails_on_sealer_and_reference():
     rnd = random.Random(104)
-    sealed = _sealer(False).seal_chunk(0, _rand_bytes(rnd, 256))
+    sealer, reference = _sealers()
+    sealed = reference.seal(0, _rand_bytes(rnd, 256))
     bad = bytearray(sealed.ciphertext)
     bad[rnd.randrange(len(bad))] ^= 0x80
-    for path in (False, True):
+    for unseal in (sealer.unseal_chunk, reference.unseal):
         with pytest.raises(IntegrityError):
-            _sealer(path).unseal_chunk(0, bytes(bad), sealed.tag)
+            unseal(0, bytes(bad), sealed.tag)
 
 
-# ---------------------------------------------------------------------------
-# Flag plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_engine_batch_rejects_mismatched_lists_on_both_paths():
+def test_engine_batch_rejects_mismatched_lists():
     from repro.errors import ShieldError
 
-    for flag in (False, True):
-        engine = AesEngine(bytes(16), fast_crypto=flag)
-        with pytest.raises(ShieldError):
-            engine.encrypt_many([bytes(12)], [b"a" * 16, b"b" * 16])
-        with pytest.raises(ShieldError):
-            engine.decrypt_many([bytes(12), bytes(12)], [b"a" * 16])
-
-
-def test_engine_fast_path_resolution():
-    key = bytes(16)
-    forced_on = AesEngine(key, fast_crypto=True)
-    forced_off = AesEngine(key, fast_crypto=False)
-    inherit = AesEngine(key)
-    assert forced_on.uses_fast_path
-    assert not forced_off.uses_fast_path
-    with fast_path(True):
-        assert inherit.uses_fast_path
-        assert not forced_off.uses_fast_path
-    with fast_path(False):
-        assert not inherit.uses_fast_path
-        assert forced_on.uses_fast_path
-
-
-def test_set_fast_path_returns_previous_value():
-    original = fast_path_enabled()
-    try:
-        assert set_fast_path(True) == original
-        assert set_fast_path(False) is True
-    finally:
-        set_fast_path(original)
-
-
-def test_engine_outputs_identical_across_flag_flips():
-    rnd = random.Random(105)
-    key = _rand_bytes(rnd, 16)
-    iv = _rand_bytes(rnd, 12)
-    data = _rand_bytes(rnd, 1000)
-    engine = AesEngine(key)
-    with fast_path(False):
-        scalar_out = engine.encrypt(iv, data)
-    with fast_path(True):
-        fast_out = engine.encrypt(iv, data)
-        assert engine.decrypt(iv, fast_out) == data
-    assert scalar_out == fast_out
+    engine = AesEngine(bytes(16))
+    with pytest.raises(ShieldError):
+        engine.encrypt_many([bytes(12)], [b"a" * 16, b"b" * 16])
+    with pytest.raises(ShieldError):
+        engine.decrypt_many([bytes(12), bytes(12)], [b"a" * 16])

@@ -34,7 +34,7 @@ WORKLOAD = [
 
 
 def _build(num_boards: int):
-    service = ShieldCloudService(num_boards=num_boards, fast_crypto=True)
+    service = ShieldCloudService(num_boards=num_boards)
     accels = {
         "alice": VectorAddAccelerator(ACCEL_BYTES),
         "bob": VectorAddAccelerator(ACCEL_BYTES),

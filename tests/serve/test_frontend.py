@@ -39,7 +39,6 @@ def obs():
 
 def _service(**kwargs):
     kwargs.setdefault("num_boards", 2)
-    kwargs.setdefault("fast_crypto", True)
     return ShieldCloudService(**kwargs)
 
 

@@ -35,7 +35,6 @@ def sanitize():
 
 def _service(**kwargs):
     kwargs.setdefault("num_boards", 2)
-    kwargs.setdefault("fast_crypto", True)
     return ShieldCloudService(**kwargs)
 
 

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import io
 
+import pytest
+
 from repro.cli import main
+from repro.cloud import ShieldCloudService
+from repro.errors import CloudError
 from repro.obs import SERVE_STAGES
 from repro.obs.exporters import read_jsonl
 
 
 def test_serve_demo_completes_all_jobs():
     out = io.StringIO()
-    args = ["serve-demo", "--boards", "2", "--fast-crypto", "--jobs-per-tenant", "1"]
+    args = ["serve-demo", "--boards", "2", "--jobs-per-tenant", "1"]
     assert main(args, out=out) == 0
     text = out.getvalue()
     assert "3 concurrent tenant streams" in text
@@ -23,7 +27,7 @@ def test_serve_demo_rate_limit_rejections_reach_trace_and_summary(tmp_path):
     trace_path = tmp_path / "serve.jsonl"
     out = io.StringIO()
     args = [
-        "serve-demo", "--boards", "1", "--fast-crypto",
+        "serve-demo", "--boards", "1",
         "--jobs-per-tenant", "2", "--rate-limit", "0.0001",
         "--trace", str(trace_path),
     ]
@@ -46,3 +50,16 @@ def test_serve_demo_validates_flags():
         ["serve-demo", "--jobs-per-tenant", "0"], out=io.StringIO()
     ) == 2
     assert main(["serve-demo", "--job-retention", "0"], out=io.StringIO()) == 2
+
+
+@pytest.mark.parametrize("demo", ["cloud-demo", "serve-demo"])
+def test_demos_reject_the_removed_fast_crypto_flag(demo):
+    with pytest.raises(SystemExit) as exited:
+        main([demo, "--fast-crypto"], out=io.StringIO())
+    assert exited.value.code == 2
+
+
+@pytest.mark.parametrize("value", [False, None])
+def test_service_fast_crypto_keyword_only_accepts_true(value):
+    with pytest.raises(CloudError):
+        ShieldCloudService(num_boards=1, fast_crypto=value)
