@@ -7,13 +7,15 @@ series the paper reports.  EXPERIMENTS.md records paper-vs-measured values.
 
 The gates additionally record their measurements through one writer,
 :func:`record_bench`, which merges named entries into ``BENCH_<stem>.json`` at
-the repo root: ``fastpath`` (crypto datapath speedups), ``merkle``
-(vectorized Merkle replay protection), ``sched`` (warm-affinity makespan
-ratios, policy waits), ``obs`` (observability overhead), ``serve`` (async
-serving throughput and latency) and ``shard`` (shard-scale replay
-throughput, tail waits, utilization).  The files are git-ignored run outputs;
-CI uploads them as workflow artifacts so the perf trajectory is tracked
-across PRs.
+the repo root: ``fastpath`` (crypto datapath speedups), ``sched``
+(warm-affinity makespan ratios, policy waits), ``obs`` (observability
+overhead), ``serve`` (async serving throughput and latency) and ``shard``
+(shard-scale replay throughput, tail waits, utilization).  Every entry
+carries its provenance -- commit, Python and numpy versions, CPU model,
+``nproc`` and a UTC timestamp -- so a number can be traced to the code and
+the host that produced it.  The files are git-ignored run outputs; CI
+uploads them as workflow artifacts so the perf trajectory is tracked across
+PRs.
 
 ``record_stage_percentiles`` stamps per-stage latency percentiles (from a
 live metrics registry's ``cloud.stage_seconds`` histograms) into any of the
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from perfbench.run import provenance
 from repro.sim.reporting import render_experiment
 
 
@@ -39,7 +42,11 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def record_bench(stem: str, name: str, **fields) -> None:
-    """Merge one named measurement into ``BENCH_<stem>.json`` at the repo root."""
+    """Merge one named measurement, with its provenance, into
+    ``BENCH_<stem>.json`` at the repo root.
+
+    The provenance fields are perfbench's, less its input seed.
+    """
     path = _REPO_ROOT / f"BENCH_{stem}.json"
     data = {}
     if path.exists():
@@ -47,7 +54,9 @@ def record_bench(stem: str, name: str, **fields) -> None:
             data = json.loads(path.read_text())
         except ValueError:
             data = {}
-    data[name] = fields
+    info = provenance(seed=None)
+    del info["seed"]
+    data[name] = {**fields, "provenance": info}
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 

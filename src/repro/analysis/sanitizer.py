@@ -13,9 +13,6 @@ cannot.  With ``REPRO_SANITIZE=1`` in the environment (or after
   guarded object to the first thread that touches it and raises
   :class:`SanitizerError` when any *other* thread calls a loop-owned method
   -- the executable form of PR 7's "the event loop owns all scheduler state".
-* :func:`note_copy` + :func:`counting_copies` expose a copy counter that the
-  batched datapath's known fallback-copy sites report into, so a hot-path
-  test can assert that a batched operation allocated nothing.
 
 Everything here is stdlib-only and free when disabled: the product-code call
 sites guard on :func:`enabled`, which is a plain module-global read.
@@ -25,18 +22,14 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 __all__ = [
     "SanitizerError",
     "assert_owner",
-    "counting_copies",
     "disable",
     "enable",
     "enabled",
     "freeze",
-    "note_copy",
     "release_owner",
 ]
 
@@ -116,55 +109,3 @@ def release_owner(obj) -> None:
     """Unbind a guarded object (tests that legitimately hand an object over)."""
     if hasattr(obj, _OWNER_ATTR):
         delattr(obj, _OWNER_ATTR)
-
-
-# -- copy counting -----------------------------------------------------------------
-
-
-@dataclass
-class CopyCounter:
-    """Copies the datapath reported while a :func:`counting_copies` scope was open."""
-
-    copies: int = 0
-    bytes: int = 0
-    sites: dict = field(default_factory=dict)
-
-    def record(self, site: str, nbytes: int) -> None:
-        self.copies += 1
-        self.bytes += nbytes
-        self.sites[site] = self.sites.get(site, 0) + 1
-
-
-_counter_stack: list = []
-_counter_lock = threading.Lock()
-
-
-def note_copy(site: str, nbytes: int) -> None:
-    """Report one fallback copy of ``nbytes`` at ``site``.
-
-    Called by the batched datapath wherever it materializes ``bytes`` from a
-    shared buffer (the ragged-batch fallback).  Free when no counter is open.
-    """
-    if not _counter_stack:
-        return
-    with _counter_lock:
-        for counter in _counter_stack:
-            counter.record(site, nbytes)
-
-
-@contextmanager
-def counting_copies():
-    """Collect every :func:`note_copy` within the scope into a :class:`CopyCounter`.
-
-    Hot-path tests run a batched seal/unseal inside the scope and assert
-    ``counter.copies == 0``; fallback tests assert the copies (and their
-    sites) were recorded.  Nested scopes each see all copies.
-    """
-    counter = CopyCounter()
-    with _counter_lock:
-        _counter_stack.append(counter)
-    try:
-        yield counter
-    finally:
-        with _counter_lock:
-            _counter_stack.remove(counter)

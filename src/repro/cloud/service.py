@@ -883,6 +883,13 @@ class ShieldCloudService:
             )
         download_start = self._now()
         ciphertext, tags = runtime.download_region(region_name, num_chunks, offset_chunks)
+        if len(tags) != num_chunks:
+            # The host dropped (or padded) whole chunks; the tags left over
+            # would still verify, so count them here.
+            raise IntegrityError(
+                f"host returned {len(tags)} of {num_chunks} chunk tags "
+                f"for region {region_name!r}"
+            )
         sealed = DataOwner.sealed_chunks_from_device(
             config, region_name, ciphertext, tags, offset_chunks
         )

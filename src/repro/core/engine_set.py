@@ -6,13 +6,16 @@ their tags from DRAM through the untrusted Shell, verifies and decrypts them,
 and serves the accelerator from an optional on-chip plaintext buffer; on
 writes it updates the buffer (or performs read-modify-write without one) and
 re-seals dirty chunks back to DRAM, bumping the on-chip integrity counter for
-replay-protected regions.
+replay-protected regions.  Every batch the pipeline hands the sealer is one
+``(n, chunk_size)`` array of whole chunks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from repro.analysis.annotations import hot_path
 from repro.core.buffer import PlaintextBuffer
@@ -272,11 +275,12 @@ class RegionPipeline:
     def flush(self) -> None:
         """Write every dirty buffered chunk back to DRAM in one sealed batch.
 
-        All dirty lines are sealed through one
-        :meth:`~repro.core.sealing.RegionSealer.seal_chunks` call (counter
-        increments happen first, exactly as the chunk-at-a-time path would),
-        so the engine set encrypts the whole write-back set in a single
-        vectorized pass before the per-chunk DRAM writes go out.
+        The dirty lines are staged into one ``(n, chunk_size)`` array and
+        sealed through one
+        :meth:`~repro.core.sealing.RegionSealer.seal_chunks_array` call
+        (counter increments happen first, exactly as the chunk-at-a-time path
+        would), so the engine set encrypts the whole write-back set in a
+        single vectorized pass before the per-chunk DRAM writes go out.
         """
         lines = list(self.buffer.dirty_lines())
         if not lines:
@@ -286,9 +290,10 @@ class RegionPipeline:
             self.counters.increment(index) if self.counters is not None else 0
             for index in indices
         ]
-        sealed_chunks = self._sealer.seal_chunks(
-            indices, [line.data for line in lines], versions
-        )
+        plaintext_array = np.empty((len(lines), self.region.chunk_size), dtype=np.uint8)
+        for row, line in enumerate(lines):
+            plaintext_array[row] = np.frombuffer(line.data, dtype=np.uint8)
+        sealed_chunks = self._sealer.seal_chunks_array(indices, plaintext_array, versions)
         for line, sealed in zip(lines, sealed_chunks):
             self._write_sealed(sealed)
             line.dirty = False

@@ -9,9 +9,11 @@ counts) reproduces the shapes reported in the paper's Table 2 and Figures 5-6.
 
 There is one functional datapath: AES-CTR runs on the vectorized
 :class:`~repro.crypto.fastaes.VectorAes` and batched MACs on
-:class:`~repro.crypto.fasthash.BatchedMac`.  The from-scratch
-:mod:`repro.crypto.modes` and :mod:`repro.crypto.mac` are the references
-the parity tests compare them against.
+:class:`~repro.crypto.fasthash.BatchedMac`.  A batch is always one
+``(n, chunk)`` uint8 array (the ``*_many_array`` methods); single messages
+go through :meth:`AesEngine.encrypt` / :meth:`MacEngine.tag` and friends.
+The from-scratch :mod:`repro.crypto.modes` and :mod:`repro.crypto.mac` are
+the references the parity tests compare them against.
 
 Key modelling choices (documented here because the benchmarks depend on them):
 
@@ -85,14 +87,6 @@ class AesEngine:
             rate *= AES_256_THROUGHPUT_FACTOR
         return rate
 
-    def _transform_many(self, ivs: list, chunks: list) -> list:
-        if len(ivs) != len(chunks):
-            raise ShieldError("batched AES-CTR needs one IV per chunk")
-        if len({len(c) for c in chunks}) <= 1:
-            return self._cipher.ctr_transform_many(ivs, chunks)
-        # Ragged batch (e.g. a truncated download): one cipher pass per chunk.
-        return [self._cipher.ctr_transform(iv, c) for iv, c in zip(ivs, chunks)]
-
     def encrypt(self, iv: bytes, plaintext: bytes) -> bytes:
         """AES-CTR encrypt ``plaintext`` under the per-chunk IV."""
         self.stats.bytes_encrypted += len(plaintext)
@@ -105,21 +99,7 @@ class AesEngine:
         self.stats.operations += 1
         return self._cipher.ctr_transform(iv, ciphertext)
 
-    @scalar_reference("repro.crypto.modes:ctr_transform")
-    def encrypt_many(self, ivs: list, plaintexts: list) -> list:
-        """Encrypt a batch of chunks, one IV each, in a single vectorized pass."""
-        self.stats.bytes_encrypted += sum(len(p) for p in plaintexts)
-        self.stats.operations += len(plaintexts)
-        return self._transform_many(ivs, plaintexts)
-
-    @scalar_reference("repro.crypto.modes:ctr_transform")
-    def decrypt_many(self, ivs: list, ciphertexts: list) -> list:
-        """Decrypt a batch of chunks, one IV each, in a single vectorized pass."""
-        self.stats.bytes_decrypted += sum(len(c) for c in ciphertexts)
-        self.stats.operations += len(ciphertexts)
-        return self._transform_many(ivs, ciphertexts)
-
-    # -- zero-copy array batches ------------------------------------------------
+    # -- batches: one (n, chunk) array -------------------------------------------
 
     def _transform_array(self, ivs: np.ndarray, data: np.ndarray) -> np.ndarray:
         if ivs.shape[0] != data.shape[0]:
@@ -131,9 +111,8 @@ class AesEngine:
     def encrypt_many_array(self, ivs: np.ndarray, plaintexts: np.ndarray) -> np.ndarray:
         """Encrypt an ``(n, chunk)`` uint8 array under ``(n, 12)`` IVs.
 
-        Byte-identical to :meth:`encrypt_many`, but input and output stay one
-        numpy buffer each -- the allocation-per-chunk-free path the region
-        sealer uses.
+        Input and output stay one numpy buffer each -- no allocation per
+        chunk.
         """
         self.stats.bytes_encrypted += plaintexts.size
         self.stats.operations += plaintexts.shape[0]
@@ -152,10 +131,10 @@ class MacEngine:
     """A configurable authentication engine (HMAC-SHA256, AES-PMAC, or AES-CMAC).
 
     Single messages (:meth:`tag` / :meth:`verify`) run the from-scratch
-    :func:`repro.crypto.mac.compute_mac`; batches (:meth:`tag_many` and
-    friends) run the vectorized multi-message MACs of
-    :class:`~repro.crypto.fasthash.BatchedMac`.  Both produce byte-identical
-    tags.
+    :func:`repro.crypto.mac.compute_mac`; batches (:meth:`tag_many_array` /
+    :meth:`verify_many_array`, one ``(n, length)`` uint8 array each) run the
+    vectorized multi-message MACs of :class:`~repro.crypto.fasthash.BatchedMac`.
+    Both produce byte-identical tags.
     """
 
     def __init__(self, key: bytes, algorithm: str = "HMAC"):
@@ -191,18 +170,6 @@ class MacEngine:
         if not constant_time_equal(self.tag(message), tag):
             raise IntegrityError(f"{self.algorithm} tag mismatch")
 
-    @scalar_reference("tag")
-    def tag_many(self, messages: list) -> list:
-        """Tag a batch of messages in one vectorized MAC pass.
-
-        Byte-identical to calling :meth:`tag` per message; all equal-length
-        messages (the whole batch, for region chunk MACs) share a single
-        multi-message pass.
-        """
-        self.stats.bytes_authenticated += sum(len(m) for m in messages)
-        self.stats.operations += len(messages)
-        return [tag[:16] for tag in self._batched_mac().tag_many(messages)]
-
     def _batched_mac(self) -> BatchedMac:
         # Per-key setup (HMAC pads, AES key schedule, PMAC/CMAC subkeys) is
         # done once and reused across batches.
@@ -215,9 +182,8 @@ class MacEngine:
     def tag_many_array(self, messages: np.ndarray) -> np.ndarray:
         """Tag an equal-length ``(n, length)`` uint8 batch; returns ``(n, 16)``.
 
-        Byte-identical to :meth:`tag_many` over the same rows, but the batch
-        stays one numpy buffer end-to-end (the region sealer's zero-copy
-        chunk-MAC path).
+        Byte-identical to :meth:`tag` over each row; the batch stays one numpy
+        buffer end-to-end (the region sealer's zero-copy chunk-MAC path).
         """
         self.stats.bytes_authenticated += messages.size
         self.stats.operations += messages.shape[0]
@@ -228,30 +194,15 @@ class MacEngine:
         """Verify a batch of 16-byte tags over an ``(n, length)`` message array.
 
         Every row is checked (no early exit) before the batch is rejected
-        with :class:`IntegrityError`, like :meth:`verify_many`.
+        with :class:`IntegrityError`, so tampering with any chunk fails the
+        whole batch exactly as the chunk-at-a-time loop would.
         """
         if messages.shape[0] != len(tags):
-            raise IntegrityError("verify_many needs exactly one tag per message")
+            raise IntegrityError("verify_many_array needs exactly one tag per message")
         computed = self.tag_many_array(messages)
         matched = True
         for row, presented in zip(computed, tags):
             matched &= constant_time_equal(row.tobytes(), bytes(presented))
-        if not matched:
-            raise IntegrityError(f"{self.algorithm} tag mismatch")
-
-    @scalar_reference("verify")
-    def verify_many(self, messages: list, tags: list) -> None:
-        """Verify a batch of tags produced by :meth:`tag` / :meth:`tag_many`.
-
-        Every message is checked (no early exit) before the batch is rejected
-        with :class:`IntegrityError`, so tampering with any chunk fails the
-        whole batch exactly as the chunk-at-a-time loop would.
-        """
-        if len(messages) != len(tags):
-            raise IntegrityError("verify_many needs exactly one tag per message")
-        matched = True
-        for computed, presented in zip(self.tag_many(messages), tags):
-            matched &= constant_time_equal(computed, presented)
         if not matched:
             raise IntegrityError(f"{self.algorithm} tag mismatch")
 

@@ -10,16 +10,12 @@ live in DRAM leaves, interior nodes hash their children, the root stays
 on-chip -- so the ablation benchmark can quantify the extra DRAM traffic ShEF
 avoids, and so tests can show both schemes detect replay.
 
-The API call picks the walk.  A one-chunk call (:meth:`read_counter`,
-:meth:`increment_counter`) walks its path node by node, one HMAC per node.
-The batched calls (:meth:`read_counters`, :meth:`increment_counters`) and
-the initial build hash every sibling group of a tree level through one
-multi-message HMAC pass (:class:`~repro.crypto.fasthash.BatchedMac`) and
-coalesce the node fetches of a level into a handful of AXI bursts via
-:meth:`~repro.hw.axi.AxiPort.read_many`; for one chunk that batch costs
-about ten times the per-node walk.  :class:`MerkleStats` always counts *per
-node*, exactly as the per-node walk would, so the replay-protection
-ablation numbers do not depend on which call was made.
+Every walk goes node by node, one HMAC and one DRAM access per node: the
+initial build, :meth:`~BonsaiMerkleCounterTree.read_counter` and
+:meth:`~BonsaiMerkleCounterTree.increment_counter`.  :class:`MerkleStats`
+counts those node accesses, which is what the replay-protection ablation
+compares against ShEF's on-chip counters.  The ablation itself prices the
+tree with the analytic :func:`merkle_extra_dram_bytes`.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.crypto.fasthash import BatchedMac
 from repro.crypto.mac import hmac_sha256
 from repro.errors import ReplayError, ShieldError
 from repro.hw.axi import AxiPort
@@ -87,7 +82,6 @@ class BonsaiMerkleCounterTree:
         self.num_chunks = num_chunks
         self.arity = arity
         self._key = key
-        self._batched_mac: BatchedMac | None = None
         self.stats = MerkleStats()
 
         # Level 0 = leaves (counters); levels above hold hashes.
@@ -144,44 +138,6 @@ class BonsaiMerkleCounterTree:
         self.stats.bytes_written += size
         self._port.write(address, data, region_hint="merkle")
 
-    def _account_reads(self, level: int, count: int) -> None:
-        """Tally ``count`` per-node reads, exactly as the per-node walk would."""
-        self.stats.node_reads += count
-        self.stats.bytes_read += count * self._entry_size(level)
-
-    def _account_writes(self, level: int, count: int) -> None:
-        """Tally ``count`` per-node writes, exactly as the per-node walk would."""
-        self.stats.node_writes += count
-        self.stats.bytes_written += count * self._entry_size(level)
-
-    def _read_entries(self, level: int, indices: list) -> list:
-        """Fetch entries (accounted per request) through coalesced bursts.
-
-        Duplicate requests are counted once each -- the multiplicity matches
-        what the per-node walk would read -- but fetched once, and contiguous
-        entries of a level collapse into single AXI bursts.
-        """
-        self._account_reads(level, len(indices))
-        size = self._entry_size(level)
-        base = self._level_offsets[level]
-        unique = sorted(set(indices))
-        blobs = self._port.read_many(
-            [(base + index * size, size) for index in unique], region_hint="merkle"
-        )
-        lookup = dict(zip(unique, blobs))
-        return [lookup[index] for index in indices]
-
-    def _write_entries(self, level: int, entries: dict, count: int | None = None) -> None:
-        """Write ``{index: data}`` entries (accounted as ``count`` node writes)
-        through coalesced bursts."""
-        self._account_writes(level, len(entries) if count is None else count)
-        size = self._entry_size(level)
-        base = self._level_offsets[level]
-        self._port.write_many(
-            [(base + index * size, data) for index, data in entries.items()],
-            region_hint="merkle",
-        )
-
     # -- hashing --------------------------------------------------------------------
 
     def _group_range(self, level: int, parent_index: int) -> range:
@@ -196,60 +152,21 @@ class BonsaiMerkleCounterTree:
             material += self._read_entry(level, child)
         return hmac_sha256(self._key, level.to_bytes(2, "big") + material)[:NODE_BYTES]
 
-    def _mac(self) -> BatchedMac:
-        # Per-key HMAC setup is done once and reused across batches.
-        if self._batched_mac is None:
-            self._batched_mac = BatchedMac("HMAC", self._key)
-        return self._batched_mac
-
-    def _hash_groups(self, level: int, parents: list) -> list:
-        """Vectorized :meth:`_hash_children` over many parents at once.
-
-        Child reads are accounted per *parent occurrence* (what the per-node
-        walk would fetch) but deduplicated physically, and every distinct
-        sibling group goes through one multi-message HMAC batch.
-        """
-        unique = sorted(set(parents))
-        groups = {parent: self._group_range(level, parent) for parent in unique}
-        for parent in parents:
-            self._account_reads(level, len(groups[parent]))
-        size = self._entry_size(level)
-        base = self._level_offsets[level]
-        blobs = self._port.read_many(
-            [
-                (base + child * size, size)
-                for parent in unique
-                for child in groups[parent]
-            ],
-            region_hint="merkle",
-        )
-        prefix = level.to_bytes(2, "big")
-        messages = []
-        cursor = 0
-        for parent in unique:
-            width = len(groups[parent])
-            messages.append(prefix + b"".join(blobs[cursor : cursor + width]))
-            cursor += width
-        digests = dict(zip(unique, self._mac().tag_many(messages)))
-        return [digests[parent][:NODE_BYTES] for parent in parents]
-
     def _initialize(self) -> None:
-        """Write zero counters and build the initial tree bottom-up, one
-        hash pass per level."""
-        self._write_entries(
-            0, {index: b"\x00" * COUNTER_BYTES for index in range(self.levels[0])}
-        )
+        """Write zero counters and build the initial tree bottom-up, node by node."""
+        for index in range(self.levels[0]):
+            self._write_entry(0, index, b"\x00" * COUNTER_BYTES)
         if len(self.levels) == 1:
             # Single-chunk tree: the root is the hash over the one leaf.
-            self._root = self._hash_groups(0, [0])[0]
+            self._root = self._hash_children(0, 0)
             return
         for level in range(1, len(self.levels)):
-            parents = list(range(self.levels[level]))
-            digests = self._hash_groups(level - 1, parents)
-            if level == len(self.levels) - 1:
-                self._root = digests[0]
-            else:
-                self._write_entries(level, dict(zip(parents, digests)))
+            for index in range(self.levels[level]):
+                digest = self._hash_children(level - 1, index)
+                if level == len(self.levels) - 1:
+                    self._root = digest
+                else:
+                    self._write_entry(level, index, digest)
 
     # -- verification path -----------------------------------------------------------
 
@@ -273,29 +190,6 @@ class BonsaiMerkleCounterTree:
                 )
             index = parent_index
 
-    def _verify_paths(self, chunk_indices: list) -> None:
-        """Batched :meth:`_verify_path`: one hash pass per tree level."""
-        if len(self.levels) == 1:
-            for digest in self._hash_groups(0, [0] * len(chunk_indices)):
-                if digest != self._root:
-                    raise ReplayError("Merkle verification failed at the root")
-            return
-        chains = list(chunk_indices)
-        for level in range(1, len(self.levels)):
-            parents = [index // self.arity for index in chains]
-            digests = self._hash_groups(level - 1, parents)
-            if level == len(self.levels) - 1:
-                stored = [self._root] * len(parents)
-            else:
-                stored = self._read_entries(level, parents)
-            for chunk_index, digest, expected in zip(chunk_indices, digests, stored):
-                if digest != expected:
-                    raise ReplayError(
-                        f"Merkle verification failed at level {level} "
-                        f"for chunk {chunk_index}"
-                    )
-            chains = parents
-
     def _update_path(self, chunk_index: int) -> None:
         """Recompute and store hashes along the path after a counter update."""
         if len(self.levels) == 1:
@@ -311,91 +205,21 @@ class BonsaiMerkleCounterTree:
                 self._write_entry(level, parent_index, digest)
             index = parent_index
 
-    def _update_paths(self, chunk_indices: list) -> None:
-        """Batched :meth:`_update_path`: rebuild all touched paths level by level.
-
-        Levels are recomputed bottom-up, so every parent hash is computed over
-        already-updated children -- the same final tree the sequence of
-        per-chunk updates converges to.
-        """
-        if len(self.levels) == 1:
-            self._root = self._hash_groups(0, [0] * len(chunk_indices))[-1]
-            return
-        chains = list(chunk_indices)
-        for level in range(1, len(self.levels)):
-            parents = [index // self.arity for index in chains]
-            digests = self._hash_groups(level - 1, parents)
-            if level == len(self.levels) - 1:
-                self._root = digests[0]
-            else:
-                self._write_entries(
-                    level, dict(zip(parents, digests)), count=len(parents)
-                )
-            chains = parents
-
     # -- public API --------------------------------------------------------------------
 
     def read_counter(self, chunk_index: int) -> int:
-        """Fetch and verify the counter for a chunk, walking its path node by node."""
+        """Fetch and verify the counter for a chunk, walking its path."""
         self._check_index(chunk_index)
         value = int.from_bytes(self._read_entry(0, chunk_index), "big")
         self._verify_path(chunk_index)
         return value
 
-    def read_counters(self, chunk_indices: list) -> list:
-        """Batched :meth:`read_counter`: verify many chunks in level-wise passes.
-
-        All leaves arrive in one coalesced read and every tree level costs one
-        multi-message HMAC batch; traffic is still accounted per node walked,
-        per chunk, exactly like a loop of :meth:`read_counter` calls.
-        """
-        for chunk_index in chunk_indices:
-            self._check_index(chunk_index)
-        if not chunk_indices:
-            return []
-        raws = self._read_entries(0, list(chunk_indices))
-        values = [int.from_bytes(raw, "big") for raw in raws]
-        self._verify_paths(chunk_indices)
-        return values
-
     def increment_counter(self, chunk_index: int) -> int:
-        """Verify, increment, and re-hash the path for a chunk write, node by node."""
+        """Verify, increment, and re-hash the path for a chunk write."""
         value = self.read_counter(chunk_index) + 1
         self._write_entry(0, chunk_index, value.to_bytes(COUNTER_BYTES, "big"))
         self._update_path(chunk_index)
         return value
-
-    def increment_counters(self, chunk_indices: list) -> list:
-        """Batched :meth:`increment_counter` over many chunk writes.
-
-        Verifies every path, bumps every counter, then rebuilds all touched
-        paths level by level (shared interior nodes are hashed once instead of
-        once per chunk -- but still *accounted* once per chunk).  Returns the
-        new counter values in input order; duplicated indices increment once
-        per occurrence, exactly like repeated :meth:`increment_counter` calls.
-        """
-        for chunk_index in chunk_indices:
-            self._check_index(chunk_index)
-        if not chunk_indices:
-            return []
-        base_values = dict(zip(chunk_indices, self.read_counters(chunk_indices)))
-        occurrences: dict = {}
-        values = []
-        for chunk_index in chunk_indices:
-            occurrences[chunk_index] = occurrences.get(chunk_index, 0) + 1
-            values.append(base_values[chunk_index] + occurrences[chunk_index])
-        self._write_entries(
-            0,
-            {
-                chunk_index: (base_values[chunk_index] + count).to_bytes(
-                    COUNTER_BYTES, "big"
-                )
-                for chunk_index, count in occurrences.items()
-            },
-            count=len(chunk_indices),
-        )
-        self._update_paths(chunk_indices)
-        return values
 
     def root(self) -> bytes:
         """The on-chip root value."""
@@ -417,8 +241,9 @@ def merkle_extra_dram_bytes(num_chunks: int, arity: int = 8, writes_fraction: fl
     level, 32-byte nodes above) and the stored parent node it compares
     against (the root lives on-chip and costs nothing); a *write* adds the
     leaf write-back, a second walk of the sibling groups, and one node write
-    per interior level.  ``tests/core/test_merkle.py`` asserts this model
-    matches the implementation's measured :class:`MerkleStats` bit-for-bit.
+    per interior level.  ``tests/core/test_merkle_vector_equivalence.py``
+    asserts this model matches the implementation's measured
+    :class:`MerkleStats` bit-for-bit.
     Used by the replay-protection ablation benchmark to contrast with ShEF's
     counters, which add zero DRAM traffic.
     """

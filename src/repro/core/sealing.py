@@ -13,10 +13,11 @@ and unseals results coming back, so the format must be shared.  Sub-keys are
 derived per (Data Encryption Key, region name) so no two regions share keys.
 
 A batch of chunks is sealed or unsealed as one ``(n, chunk_size)`` array:
-one cipher pass and one MAC pass for the whole batch.  Only an empty or
-ragged batch (a truncated download leaves a short last chunk) takes the
-list-based engine calls, which still reject it with
-:class:`~repro.errors.IntegrityError`.
+one cipher pass and one MAC pass for the whole batch.  Every stored chunk is
+exactly ``chunk_size`` bytes, because sealing takes whole chunks only, so a
+chunk of any other length (a truncated download leaves a short last chunk)
+is tampering: it is rejected with :class:`~repro.errors.IntegrityError` and a
+``mac_failure`` event before any MAC or decrypt runs.
 """
 
 from __future__ import annotations
@@ -118,6 +119,18 @@ class RegionSealer:
                 error=str(exc),
             )
 
+    def _reject_partial_chunks(self, chunk_indices, ciphertexts) -> None:
+        """Treat any chunk that is not exactly ``chunk_size`` bytes as tampering.
+
+        :meth:`seal_chunk` and :meth:`seal_chunks_array` take whole chunks
+        only, so no sealer produces a short or long chunk.
+        """
+        chunk_size = self.region.chunk_size
+        if any(len(ciphertext) != chunk_size for ciphertext in ciphertexts):
+            exc = IntegrityError(f"{self._mac_engine.algorithm} tag mismatch")
+            self._mac_failure(exc, chunk_indices)
+            raise exc
+
     def seal_chunk(self, chunk_index: int, plaintext: bytes, version: int = 0) -> SealedChunk:
         """Encrypt-then-MAC one chunk of plaintext."""
         if len(plaintext) != self.region.chunk_size:
@@ -138,6 +151,7 @@ class RegionSealer:
         self, chunk_index: int, ciphertext: bytes, tag: bytes, version: int = 0
     ) -> bytes:
         """Verify and decrypt one chunk; raises :class:`IntegrityError` on tampering."""
+        self._reject_partial_chunks([chunk_index], [ciphertext])
         timed = self._obs.metrics.enabled
         start = time.perf_counter() if timed else 0.0
         context = chunk_mac_context(self.region, chunk_index, version)
@@ -187,43 +201,25 @@ class RegionSealer:
         )
         return contexts
 
-    def seal_chunks(self, indices: list, plaintexts: list, versions=0) -> list:
-        """Seal many whole chunks at once (one batched cipher pass).
-
-        ``versions`` is either one write version shared by every chunk or a
-        per-chunk list (what a buffered pipeline flush produces).  The batch
-        is packed into a single ``(n, chunk_size)`` array and handed to
-        :meth:`seal_chunks_array`, so the whole seal costs one cipher pass,
-        one MAC pass, and exactly one ciphertext allocation.
-        """
-        chunk_size = self.region.chunk_size
-        for plaintext in plaintexts:
-            if len(plaintext) != chunk_size:
-                raise ShieldError(
-                    f"chunk plaintext must be exactly {chunk_size} bytes"
-                )
-        plaintext_array = np.empty((len(plaintexts), chunk_size), dtype=np.uint8)
-        for row, plaintext in enumerate(plaintexts):
-            plaintext_array[row] = np.frombuffer(plaintext, dtype=np.uint8)
-        return self.seal_chunks_array(indices, plaintext_array, versions)
-
     @hot_path
     @scalar_reference("seal_chunk")
     def seal_chunks_array(
         self, indices: list, plaintext_array: np.ndarray, versions=0
     ) -> list:
-        """Seal a batch already staged as an ``(n, chunk_size)`` uint8 array.
+        """Seal a batch of whole chunks staged as an ``(n, chunk_size)`` uint8 array.
 
-        The zero-copy entry point: the rows are encrypted and MACed in
-        place-order without ever being sliced into per-chunk ``bytes``
-        objects, and the resulting :class:`SealedChunk` ciphertexts are
-        memoryview rows of one shared output buffer.
+        ``versions`` is either one write version shared by every chunk or a
+        per-chunk list (what a buffered pipeline flush produces).  The rows
+        are encrypted and MACed in one cipher pass and one MAC pass without
+        ever being sliced into per-chunk ``bytes`` objects, and the resulting
+        :class:`SealedChunk` ciphertexts are memoryview rows of one shared
+        output buffer.
         """
         indices = list(indices)
         if isinstance(versions, int):
             versions = [versions] * len(indices)
         if len(versions) != len(indices) or plaintext_array.shape[0] != len(indices):
-            raise ShieldError("seal_chunks needs matching indices/plaintexts/versions")
+            raise ShieldError("seal_chunks_array needs matching indices/plaintexts/versions")
         if (
             plaintext_array.ndim != 2
             or plaintext_array.shape[1] != self.region.chunk_size
@@ -288,11 +284,10 @@ class RegionSealer:
 
         ``versions`` is one write version shared by every chunk (0 for
         write-once regions) or a per-chunk list (replay-protected regions).
-        All tags are verified first in one batched MAC pass (any tampering
-        raises :class:`~repro.errors.IntegrityError` before a single byte is
-        decrypted), then all ciphertexts go through one batched decrypt pass.
-        An empty or ragged batch (a truncated download leaves a short last
-        chunk) takes the list-based engine calls instead of the array path.
+        All tags are verified first in one batched MAC pass (any tampering,
+        a partial chunk included, raises :class:`~repro.errors.IntegrityError`
+        before a single byte is decrypted), then all ciphertexts go through
+        one batched decrypt pass.  An empty list unseals to ``b""``.
         """
         if isinstance(versions, int):
             versions = [versions] * len(sealed_chunks)
@@ -300,60 +295,30 @@ class RegionSealer:
             raise ShieldError("unseal_region_data needs one version per chunk")
         timed = self._obs.metrics.enabled
         start = time.perf_counter() if timed else 0.0
-        indices = [chunk.chunk_index for chunk in sealed_chunks]
-        ciphertexts = [chunk.ciphertext for chunk in sealed_chunks]
-        tags = [chunk.tag for chunk in sealed_chunks]
-        if self._batchable(ciphertexts):
-            plaintext_array = self._unseal_batch_array(
-                indices, ciphertexts, tags, versions
-            )
-            flat = plaintext_array.reshape(-1)
-            if timed:
-                self._observe("unseal", flat.size, time.perf_counter() - start)
-            return flat.tobytes() if length is None else flat[:length].tobytes()
-        try:
-            self._mac_engine.verify_many(
-                [
-                    chunk_mac_context(self.region, index, version) + bytes(ciphertext)
-                    for index, version, ciphertext in zip(indices, versions, ciphertexts)
-                ],
-                tags,
-            )
-        except IntegrityError as exc:
-            self._mac_failure(exc, indices)
-            raise
-        ivs = [
-            chunk_iv(self.region, index, version)
-            for index, version in zip(indices, versions)
-        ]
-        pieces = self._aes_engine.decrypt_many(
-            ivs, [bytes(ciphertext) for ciphertext in ciphertexts]
+        plaintext_array = self._unseal_batch_array(
+            [chunk.chunk_index for chunk in sealed_chunks],
+            [chunk.ciphertext for chunk in sealed_chunks],
+            [chunk.tag for chunk in sealed_chunks],
+            versions,
         )
-        plaintext = b"".join(pieces)
+        flat = plaintext_array.reshape(-1)
         if timed:
-            self._observe("unseal", len(plaintext), time.perf_counter() - start)
-        return plaintext if length is None else plaintext[:length]
-
-    @staticmethod
-    def _batchable(ciphertexts: list) -> bool:
-        """Whether a batch can take the array path: non-empty, equal sizes."""
-        if not ciphertexts:
-            return False
-        chunk_len = len(ciphertexts[0])
-        return chunk_len > 0 and all(len(c) == chunk_len for c in ciphertexts)
+            self._observe("unseal", flat.size, time.perf_counter() - start)
+        return flat.tobytes() if length is None else flat[:length].tobytes()
 
     def _unseal_batch_array(
         self, indices: list, ciphertexts: list, tags: list, versions: list
     ) -> np.ndarray:
-        """Array-path batch unseal; returns the ``(n, chunk_len)`` plaintext array.
+        """Batch unseal; returns the ``(n, chunk_size)`` plaintext array.
 
-        One ``(n, 22 + chunk_len)`` staging array carries every MAC message
-        (context rows are computed vectorized), verification and decryption
-        each run as a single batched engine pass, and the returned plaintext
-        lives in one contiguous buffer.
+        Partial chunks are rejected first.  One ``(n, 22 + chunk_size)``
+        staging array then carries every MAC message (context rows are
+        computed vectorized), verification and decryption each run as a
+        single batched engine pass, and the returned plaintext lives in one
+        contiguous buffer.
         """
-        chunk_len = len(ciphertexts[0])
-        messages = np.empty((len(indices), 22 + chunk_len), dtype=np.uint8)
+        self._reject_partial_chunks(indices, ciphertexts)
+        messages = np.empty((len(indices), 22 + self.region.chunk_size), dtype=np.uint8)
         messages[:, :22] = self._chunk_contexts_array(indices, versions)
         for row, ciphertext in enumerate(ciphertexts):
             messages[row, 22:] = np.frombuffer(ciphertext, dtype=np.uint8)
@@ -372,11 +337,12 @@ class RegionSealer:
     ) -> list:
         """Verify and decrypt many chunks in one batched pass.
 
-        The read-back twin of :meth:`seal_chunks`: the pipeline hands over the
-        raw per-chunk ciphertext and tag blobs it fetched from DRAM, and gets
-        back one plaintext per chunk: memoryview rows of a single shared
-        buffer (no per-chunk ``bytes`` allocation).  An empty or ragged batch
-        falls back to per-chunk :meth:`unseal_chunk` calls.
+        The read-back twin of :meth:`seal_chunks_array`: the pipeline hands
+        over the raw per-chunk ciphertext and tag blobs it fetched from DRAM,
+        and gets back one plaintext per chunk: memoryview rows of a single
+        shared buffer (no per-chunk ``bytes`` allocation).  A partial chunk
+        raises :class:`~repro.errors.IntegrityError`; an empty batch gives
+        ``[]``.
         """
         indices = list(indices)
         if isinstance(versions, int):
@@ -385,16 +351,6 @@ class RegionSealer:
             raise ShieldError(
                 "unseal_chunks needs matching indices/ciphertexts/tags/versions"
             )
-        if not self._batchable(ciphertexts):
-            sanitizer.note_copy(
-                "unseal_chunks.ragged_fallback", sum(len(c) for c in ciphertexts)
-            )
-            return [
-                self.unseal_chunk(index, bytes(ciphertext), bytes(tag), version)  # lint: allow[hot-copy] ragged fallback
-                for index, ciphertext, tag, version in zip(
-                    indices, ciphertexts, tags, versions
-                )
-            ]
         timed = self._obs.metrics.enabled
         start = time.perf_counter() if timed else 0.0
         plaintext_array = self._unseal_batch_array(indices, ciphertexts, tags, versions)

@@ -14,8 +14,11 @@ for every key size, IV, length, and initial counter -- a property the
 differential-conformance suite (``tests/crypto/test_fast_path_equivalence``)
 checks continuously.  :class:`~repro.core.engines.AesEngine` runs every call
 on it; :mod:`repro.crypto.aes` and :mod:`repro.crypto.modes` stay as the
-from-scratch references.  Only CTR mode is provided: it is the only mode on
-the Shield's per-chunk hot path, and it needs just the forward block
+from-scratch references.  There are two entry points:
+:meth:`VectorAes.ctr_transform` for one message and
+:meth:`VectorAes.ctr_transform_array` for a batch, which is always one
+``(n, chunk_len)`` uint8 array.  Only CTR mode is provided: it is the only
+mode on the Shield's per-chunk hot path, and it needs just the forward block
 transform.
 """
 
@@ -27,12 +30,7 @@ from repro.analysis.annotations import hot_path, scalar_reference
 from repro.crypto.aes import AES, BLOCK_SIZE, INV_SBOX, SBOX, _MUL2, _MUL3
 from repro.errors import CryptoError
 
-__all__ = [
-    "VectorAes",
-    "fast_ctr_keystream",
-    "fast_ctr_transform",
-    "fast_ctr_transform_many",
-]
+__all__ = ["VectorAes"]
 
 # Lookup tables as numpy arrays (shared, read-only).
 _SBOX_NP = np.array(SBOX, dtype=np.uint8)
@@ -127,10 +125,10 @@ class VectorAes:
     ) -> np.ndarray:
         """CTR-transform an ``(n, chunk_len)`` uint8 array under ``(n, 12)`` IVs.
 
-        The zero-copy entry point behind :meth:`ctr_transform_many`: input and
-        output stay numpy arrays end-to-end, so a whole-region seal allocates
-        one keystream and one output buffer instead of one ``bytes`` object
-        per chunk.
+        The Shield's batch shape: with ``n`` chunks of ``m`` blocks each, all
+        ``n * m`` counter blocks go through :meth:`encrypt_blocks` together,
+        and input and output stay numpy arrays end-to-end, so a whole-region
+        seal allocates one keystream and one output buffer.
         """
         if ivs.ndim != 2 or ivs.shape[1] != 12:
             raise CryptoError("ctr_transform_array expects an (n, 12) IV array")
@@ -147,61 +145,3 @@ class VectorAes:
         stream = self.encrypt_blocks(self._counter_blocks(iv_blocks, counters))
         stream = stream.reshape(num_chunks, blocks_per_chunk * BLOCK_SIZE)[:, :chunk_len]
         return data ^ stream
-
-    @scalar_reference("repro.crypto.modes:ctr_transform")
-    def ctr_transform_many(
-        self, ivs: list, datas: list, initial_counter: int = 0
-    ) -> list:
-        """CTR-transform many equal-length chunks in one cipher pass.
-
-        This is the whole-region batch path: with ``k`` chunks of ``m`` blocks
-        each, all ``k * m`` counter blocks go through :meth:`encrypt_blocks`
-        together, so sealing a full region costs one numpy pipeline instead of
-        ``k`` separate calls.
-        """
-        if len(ivs) != len(datas):
-            raise CryptoError("ctr_transform_many needs one IV per chunk")
-        if not datas:
-            return []
-        chunk_len = len(datas[0])
-        if any(len(d) != chunk_len for d in datas):
-            raise CryptoError("ctr_transform_many requires equal-length chunks")
-        if chunk_len == 0:
-            return [b"" for _ in datas]
-        if any(len(iv) != 12 for iv in ivs):
-            raise CryptoError("CTR IV must be 12 bytes (96 bits)")
-        num_chunks = len(datas)
-        iv_array = np.frombuffer(b"".join(ivs), dtype=np.uint8).reshape(num_chunks, 12)
-        data_array = np.frombuffer(b"".join(datas), dtype=np.uint8).reshape(
-            num_chunks, chunk_len
-        )
-        out = self.ctr_transform_array(iv_array, data_array, initial_counter)
-        return [row.tobytes() for row in out]
-
-
-# -- module-level conveniences (mirror repro.crypto.modes signatures) --------------
-
-
-def fast_ctr_keystream(
-    cipher: AES | VectorAes, iv: bytes, length: int, initial_counter: int = 0
-) -> bytes:
-    """Drop-in vectorized equivalent of :func:`repro.crypto.modes.ctr_keystream`."""
-    vector = cipher if isinstance(cipher, VectorAes) else VectorAes(cipher)
-    return vector.keystream(iv, length, initial_counter).tobytes()
-
-
-def fast_ctr_transform(
-    cipher: AES | VectorAes, iv: bytes, data: bytes, initial_counter: int = 0
-) -> bytes:
-    """Drop-in vectorized equivalent of :func:`repro.crypto.modes.ctr_transform`."""
-    vector = cipher if isinstance(cipher, VectorAes) else VectorAes(cipher)
-    return vector.ctr_transform(iv, data, initial_counter)
-
-
-@scalar_reference("repro.crypto.modes:ctr_transform")
-def fast_ctr_transform_many(
-    cipher: AES | VectorAes, ivs: list, datas: list, initial_counter: int = 0
-) -> list:
-    """Batch :func:`fast_ctr_transform` over equal-length chunks."""
-    vector = cipher if isinstance(cipher, VectorAes) else VectorAes(cipher)
-    return vector.ctr_transform_many(ivs, datas, initial_counter)

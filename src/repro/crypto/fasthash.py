@@ -7,15 +7,15 @@ removes it in simulation space: all chunk MACs of a region are computed in
 one numpy pass.  :class:`~repro.core.engines.MacEngine` runs every batch on
 it and keeps :func:`repro.crypto.mac.compute_mac` for single messages.
 
-The batched primitives are byte-identical to their scalar references in
+A batch is always one ``(n, length)`` uint8 array of equal-length messages.
+All chunk-MAC messages of a region are equal-length (22-byte context +
+``chunk_size`` ciphertext), so a region seal or unseal is one batch.  The
+batched primitives are byte-identical to their scalar references in
 :mod:`repro.crypto.mac` / :mod:`repro.crypto.hashes`:
 
-* :func:`sha256_many` runs the FIPS 180-4 compression schedule over an
-  ``(n_messages, n_blocks * 16)`` word array of equal-length messages: the
-  eight working variables become ``(n,)`` uint32 arrays, so one Python-level
-  round updates every message at once.  All chunk-MAC messages of a region
-  are equal-length (22-byte context + ``chunk_size`` ciphertext), which is
-  what makes the region seal/unseal path a single batch.
+* :func:`sha256_many_array` runs the FIPS 180-4 compression schedule over
+  the whole batch: the eight working variables become ``(n,)`` uint32
+  arrays, so one Python-level round updates every message at once.
 * :class:`BatchedMac` holds the per-key setup (HMAC key pads, or the AES key
   schedule plus PMAC/CMAC subkeys) and tags whole batches: HMAC as one
   batched inner pass over the messages plus one batched outer pass over the
@@ -23,11 +23,6 @@ The batched primitives are byte-identical to their scalar references in
   ``(n * blocks, 16)`` :meth:`~repro.crypto.fastaes.VectorAes.encrypt_blocks`
   batch (the parallelism the Shield's PMAC engines exploit in hardware);
   CMAC sequential per message but with all messages' CBC chains in lock-step.
-
-:class:`BatchedMac` groups messages by length, so callers may hand over
-ragged batches; the module-level ``fast_*_many`` conveniences mirror the
-scalar signatures and :func:`fast_mac_many` dispatches by algorithm name
-just like :func:`repro.crypto.mac.compute_mac`.
 """
 
 from __future__ import annotations
@@ -43,15 +38,7 @@ from repro.crypto.hashes import _INITIAL_STATE, _K
 from repro.crypto.mac import _cmac_subkeys, _double, hmac_key_pads
 from repro.errors import CryptoError
 
-__all__ = [
-    "sha256_many",
-    "sha256_many_array",
-    "BatchedMac",
-    "fast_hmac_sha256_many",
-    "fast_aes_pmac_many",
-    "fast_aes_cmac_many",
-    "fast_mac_many",
-]
+__all__ = ["sha256_many_array", "BatchedMac"]
 
 _K_NP = np.array(_K, dtype=np.uint32)
 _STATE_NP = np.array(_INITIAL_STATE, dtype=np.uint32)
@@ -99,9 +86,9 @@ def _compress_many(state: list, words: np.ndarray) -> None:
 def sha256_many_array(messages: np.ndarray) -> np.ndarray:
     """SHA-256 over an ``(n, length)`` uint8 message array in one pass.
 
-    The zero-copy core behind :func:`sha256_many`: one padded working array
-    serves the whole batch (no per-message ``bytes`` concatenation), and the
-    ``(n, 32)`` digest array comes back without per-row copies.
+    One padded working array serves the whole batch (no per-message
+    ``bytes`` concatenation), and the ``(n, 32)`` digest array comes back
+    without per-row copies.
     """
     if messages.ndim != 2:
         raise CryptoError("sha256_many_array expects an (n, length) array")
@@ -122,28 +109,6 @@ def sha256_many_array(messages: np.ndarray) -> np.ndarray:
     for block in range(words.shape[1] // 16):
         _compress_many(state, words[:, block * 16 : (block + 1) * 16])
     return np.stack(state, axis=1).astype(">u4").view(np.uint8).reshape(n, 32)
-
-
-@scalar_reference("repro.crypto.hashes:sha256")
-def sha256_many(messages: list) -> list:
-    """SHA-256 of many *equal-length* messages in one vectorized pass.
-
-    Returns one 32-byte digest per message, bit-compatible with
-    :class:`repro.crypto.hashes.SHA256`.  Raises :class:`CryptoError` on a
-    ragged batch -- mixed lengths are the callers' job
-    (:class:`BatchedMac` groups by length before descending here).
-    """
-    if not messages:
-        return []
-    length = len(messages[0])
-    if any(len(message) != length for message in messages):
-        raise CryptoError("sha256_many requires equal-length messages")
-    n = len(messages)
-    array = np.empty((n, length), dtype=np.uint8)
-    for index, message in enumerate(messages):
-        array[index] = np.frombuffer(message, dtype=np.uint8)
-    digests = sha256_many_array(array)
-    return [row.tobytes() for row in digests]
 
 
 class BatchedMac:
@@ -179,24 +144,6 @@ class BatchedMac:
                 self._k1, self._k2 = _cmac_subkeys(cipher)
 
     # -- public API ---------------------------------------------------------------
-
-    @scalar_reference("repro.crypto.mac:compute_mac")
-    def tag_many(self, messages: list) -> list:
-        """Tag a batch (possibly ragged); one scalar-identical tag per message."""
-        if not messages:
-            return []
-        groups: dict = {}
-        for index, message in enumerate(messages):
-            groups.setdefault(len(message), []).append(index)
-        tags: list = [None] * len(messages)
-        for length, indices in groups.items():
-            array = np.empty((len(indices), length), dtype=np.uint8)
-            for row, index in enumerate(indices):
-                array[row] = np.frombuffer(messages[index], dtype=np.uint8)
-            batch = self.tag_many_array(array)
-            for index, tag in zip(indices, batch):
-                tags[index] = tag.tobytes()
-        return tags
 
     @hot_path
     @scalar_reference("repro.crypto.mac:compute_mac")
@@ -295,30 +242,3 @@ class BatchedMac:
                 block = block ^ mask
             state = vector.encrypt_blocks(np.ascontiguousarray(state ^ block))
         return state
-
-
-# -- module-level conveniences (mirror repro.crypto.mac signatures) ----------------
-
-
-@scalar_reference("repro.crypto.mac:hmac_sha256")
-def fast_hmac_sha256_many(key: bytes, messages: list) -> list:
-    """Batched :func:`repro.crypto.mac.hmac_sha256`; one 32-byte tag per message."""
-    return BatchedMac("HMAC", key).tag_many(messages)
-
-
-@scalar_reference("repro.crypto.mac:aes_pmac")
-def fast_aes_pmac_many(key: bytes, messages: list) -> list:
-    """Batched :func:`repro.crypto.mac.aes_pmac`; one 16-byte tag per message."""
-    return BatchedMac("PMAC", key).tag_many(messages)
-
-
-@scalar_reference("repro.crypto.mac:aes_cmac")
-def fast_aes_cmac_many(key: bytes, messages: list) -> list:
-    """Batched :func:`repro.crypto.mac.aes_cmac`; one 16-byte tag per message."""
-    return BatchedMac("CMAC", key).tag_many(messages)
-
-
-@scalar_reference("repro.crypto.mac:compute_mac")
-def fast_mac_many(algorithm: str, key: bytes, messages: list) -> list:
-    """Batched :func:`repro.crypto.mac.compute_mac` by algorithm name."""
-    return BatchedMac(algorithm, key).tag_many(messages)

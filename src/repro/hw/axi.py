@@ -6,6 +6,9 @@ and a full AXI4 interface to device memory driven by the accelerator.  The
 Shield interposes on both.  Transactions here are burst-level objects rather
 than cycle-level channel signalling -- that is the right granularity for both
 the functional model (what bytes moved) and the timing model (how many beats).
+Writes go out one burst per call; reads of many spans can be coalesced into
+long bursts with :meth:`AxiPort.read_many`, which the Shield's chunk fetches
+use.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class AxiPort:
             AxiBurst(BurstKind.WRITE, address, len(data), bytes(data), region_hint)
         )
 
-    # -- multi-entry helpers (coalesced bursts) ------------------------------------
+    # -- coalesced multi-span reads --------------------------------------------------
 
     @hot_path
     @scalar_reference("read")
@@ -136,9 +139,9 @@ class AxiPort:
         Overlapping, duplicate, and back-to-back spans are merged into maximal
         contiguous runs, each run is fetched with bursts split at the AXI
         4 KiB boundary, and the requested spans are sliced back out in input
-        order.  This is what lets a batched Merkle walk touch a whole tree
-        level in a handful of bursts while its caller still accounts traffic
-        per node.
+        order.  This is what lets :class:`~repro.core.engine_set.RegionPipeline`
+        fetch a batch of chunks, and then their tags, in a handful of long
+        bursts.
         """
         if not spans:
             return []
@@ -165,33 +168,6 @@ class AxiPort:
                     blobs.append(data[start][offset : offset + length])
                     break
         return blobs
-
-    @hot_path
-    @scalar_reference("write")
-    def write_many(
-        self, entries: list, region_hint: Optional[str] = None
-    ) -> None:
-        """Write many ``(address, data)`` entries, coalescing DRAM traffic.
-
-        Exactly back-to-back entries are merged into one run (entries are
-        issued in address order; overlapping entries are not merged, so a
-        later entry still wins at the slave).  Each run goes out as write
-        bursts split at the AXI 4 KiB boundary.
-        """
-        runs: list[tuple[int, list]] = []  # (start address, [data pieces])
-        last_end = None
-        for address, data in sorted(entries, key=lambda entry: entry[0]):
-            if last_end is not None and address == last_end:
-                runs[-1][1].append(data)
-            else:
-                runs.append((address, [data]))
-            last_end = address + len(data)
-        for start, pieces in runs:
-            blob = b"".join(pieces)
-            for piece in AxiBurst(
-                BurstKind.WRITE, start, len(blob), blob, region_hint=region_hint
-            ).split_at_boundary():
-                self.submit(piece)
 
 
 def memory_backed_handler(memory) -> Callable[[AxiBurst], bytes]:

@@ -1,9 +1,8 @@
-"""Runtime sanitizer tests: aliasing freeze, thread ownership, copy counter.
+"""Runtime sanitizer tests: aliasing freeze and thread ownership.
 
 These are the dynamic twins of the static checkers: with the sanitizer
-enabled, a write to a shared backing array raises, a cross-thread call to a
-``@loop_owned`` method raises, and hot paths that allocate show up in the
-copy counter.
+enabled, a write to a shared backing array raises, and a cross-thread call
+to a ``@loop_owned`` method raises.
 """
 
 import threading
@@ -14,7 +13,7 @@ import pytest
 from repro.analysis import sanitizer
 from repro.analysis.annotations import loop_owned
 from repro.core.config import EngineSetConfig, RegionConfig
-from repro.core.sealing import RegionSealer, chunk_iv, chunk_mac_context
+from repro.core.sealing import RegionSealer
 
 
 @pytest.fixture
@@ -127,37 +126,3 @@ class TestThreadOwnership:
         thread.start()
         thread.join()
         assert done == [True]
-
-
-class TestCopyCounter:
-    def test_counts_ragged_fallback_copies(self, sanitize):
-        # A ragged batch (here a short last chunk) cannot take the array
-        # path, so unseal_chunks reports its fallback copies into any open
-        # counter.
-        sealer = _sealer()
-        rows = _chunk_rows(n=2, seed=9)
-        sealed = [sealer.seal_chunk(i, rows[i].tobytes()) for i in range(2)]
-        short = sealer.aes_engine.encrypt(chunk_iv(sealer.region, 1), rows[1, :40].tobytes())
-        tag = sealer.mac_engine.tag(chunk_mac_context(sealer.region, 1, 0) + short)
-        with sanitizer.counting_copies() as counter:
-            plaintexts = sealer.unseal_chunks(
-                [0, 1], [sealed[0].ciphertext, short], [sealed[0].tag, tag]
-            )
-        assert [bytes(p) for p in plaintexts] == [rows[0].tobytes(), rows[1, :40].tobytes()]
-        assert counter.copies >= 1
-        assert "unseal_chunks.ragged_fallback" in counter.sites
-
-    def test_fast_path_is_copy_free(self, sanitize):
-        sealer = _sealer()
-        rows = _chunk_rows(seed=10)
-        with sanitizer.counting_copies() as counter:
-            sealed = sealer.seal_chunks_array([0, 1, 2, 3], rows)
-            sealer.unseal_chunks(
-                [c.chunk_index for c in sealed],
-                [c.ciphertext for c in sealed],
-                [c.tag for c in sealed],
-            )
-        assert counter.copies == 0
-
-    def test_note_copy_without_counter_is_free(self):
-        sanitizer.note_copy("nowhere", 128)  # must not raise

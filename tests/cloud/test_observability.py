@@ -16,6 +16,7 @@ import pytest
 import repro.obs as obs_api
 from repro.accelerators import VectorAddAccelerator
 from repro.cloud import JobState, ShieldCloudService
+from repro.host.runtime import ShefHostRuntime
 from repro.obs import JOB_STAGES, lifecycle_signature
 from repro.sim.cloud import CloudSimulator, TraceEvent
 
@@ -270,6 +271,35 @@ def test_truncated_download_is_an_attack_not_a_crash(obs):
     failures = obs.tracer.security_events("mac_failure")
     assert len(failures) == 1
     assert failures[0].attrs["region"] == "c0"
+
+
+def test_dropped_download_chunks_are_an_attack(obs, monkeypatch):
+    service = _service()
+    accel = VectorAddAccelerator(ACCEL_BYTES)
+    session = service.admit_tenant("mallory", accel)
+    job = service.submit_job(
+        session.session_id,
+        inputs=accel.prepare_inputs(seed=1),
+        output_regions={"c0": None},
+    )
+
+    # A host that drops the last whole chunk of the output region *and* its
+    # tag: every chunk it does return verifies, so only the count is wrong.
+    original = ShefHostRuntime.download_region
+
+    def dropping_download(runtime, region_name, num_chunks, offset_chunks=0):
+        ciphertext, tags = original(runtime, region_name, num_chunks, offset_chunks)
+        chunk_size = runtime.shield_config.region(region_name).chunk_size
+        return ciphertext[:-chunk_size], tags[:-1]
+
+    monkeypatch.setattr(ShefHostRuntime, "download_region", dropping_download)
+    service.run_until_idle()
+
+    assert job.state is JobState.FAILED
+    assert job.result is None
+    assert "tags" in job.error
+    attacks = obs.tracer.security_events("attack_detected")
+    assert [event.tenant for event in attacks] == ["mallory"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.obs as obs_api
 from repro.core.config import EngineSetConfig, RegionConfig
 from repro.core.engines import (
     AesEngine,
@@ -11,7 +12,13 @@ from repro.core.engines import (
     engine_set_crypto_rate,
     engine_set_encryption_rate,
 )
-from repro.core.sealing import RegionSealer, chunk_iv, chunk_mac_context, region_key
+from repro.core.sealing import (
+    RegionSealer,
+    SealedChunk,
+    chunk_iv,
+    chunk_mac_context,
+    region_key,
+)
 from repro.errors import IntegrityError, ShieldError
 
 DATA_KEY = b"\x2a" * 32
@@ -154,3 +161,60 @@ def test_sealer_mac_algorithm_variants(region):
         sealer = RegionSealer(DATA_KEY, region, config)
         sealed = sealer.seal_chunk(1, b"\x22" * 512)
         assert sealer.unseal_chunk(1, sealed.ciphertext, sealed.tag) == b"\x22" * 512
+
+
+# ---------------------------------------------------------------------------
+# A chunk that is not exactly one chunk long is tampering
+# ---------------------------------------------------------------------------
+
+
+def _unseal_batch(sealer, chunks):
+    return sealer.unseal_chunks(
+        [c.chunk_index for c in chunks], [c.ciphertext for c in chunks], [c.tag for c in chunks]
+    )
+
+
+UNSEAL_ENTRY_POINTS = {
+    "unseal_chunks": _unseal_batch,
+    "unseal_region_data": lambda sealer, chunks: sealer.unseal_region_data(chunks),
+    "unseal_chunk": lambda sealer, chunks: sealer.unseal_chunk(
+        chunks[-1].chunk_index, chunks[-1].ciphertext, chunks[-1].tag
+    ),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(UNSEAL_ENTRY_POINTS))
+@pytest.mark.parametrize("length", [100, 0, 600], ids=["short", "empty", "long"])
+@pytest.mark.parametrize("valid_tag", [False, True], ids=["stored-tag", "valid-tag"])
+def test_partial_chunk_is_rejected_as_tampering(region, engine_config, entry_point, length, valid_tag):
+    obs = obs_api.Observability(tracer=obs_api.Tracer())
+    sealer = RegionSealer(DATA_KEY, region, engine_config, obs=obs)
+    chunks = sealer.seal_region_data(bytes(range(256)) * 4)
+    whole = bytes(chunks[1].ciphertext)
+    ciphertext = (whole + bytes(length))[:length]
+    # A valid tag over the partial ciphertext is what only a forger holding
+    # the key could make: sealing takes whole chunks only.
+    tag = (
+        sealer.mac_engine.tag(chunk_mac_context(region, 1, 0) + ciphertext)
+        if valid_tag
+        else chunks[1].tag
+    )
+    chunks[1] = SealedChunk(chunk_index=1, ciphertext=ciphertext, tag=tag)
+    macs, ciphers = sealer.mac_engine.stats.operations, sealer.aes_engine.stats.operations
+
+    with pytest.raises(IntegrityError, match="^HMAC tag mismatch$"):
+        UNSEAL_ENTRY_POINTS[entry_point](sealer, chunks)
+
+    failures = obs.tracer.security_events("mac_failure")
+    assert len(failures) == 1
+    assert failures[0].attrs["region"] == region.name
+    # Rejected before any MAC or decrypt ran.
+    assert sealer.mac_engine.stats.operations == macs
+    assert sealer.aes_engine.stats.operations == ciphers
+
+
+def test_empty_batches_unseal_to_nothing(region, engine_config):
+    sealer = RegionSealer(DATA_KEY, region, engine_config)
+    assert sealer.unseal_chunks([], [], []) == []
+    assert sealer.unseal_region_data([]) == b""
+    assert sealer.unseal_region_data([], length=10) == b""

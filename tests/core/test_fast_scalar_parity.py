@@ -156,22 +156,6 @@ class TestAxiPortManyParity:
         memory = DeviceMemory(size_bytes=1 << 16)
         return AxiPort(name="test", slave_handler=memory_backed_handler(memory))
 
-    def test_write_many_then_read_many_roundtrip(self):
-        port = self._port()
-        entries = [(0, b"a" * 100), (100, b"b" * 50), (4096 - 8, b"c" * 64)]
-        port.write_many(entries)
-        spans = [(addr, len(data)) for addr, data in entries]
-        assert port.read_many(spans) == [data for _, data in entries]
-
-    def test_write_many_matches_scalar_write(self):
-        batched, scalar = self._port(), self._port()
-        entries = [(16, b"\x11" * 32), (48, b"\x22" * 32), (200, b"\x33" * 8)]
-        batched.write_many(entries)
-        for address, data in entries:
-            scalar.write(address, data)
-        for address, length in [(16, 32), (48, 32), (200, 8)]:
-            assert batched.read(address, length) == scalar.read(address, length)
-
     def test_read_many_matches_scalar_read(self):
         port = self._port()
         port.write(0, bytes(range(256)))
@@ -179,16 +163,6 @@ class TestAxiPortManyParity:
         assert port.read_many(spans) == [
             port.read(address, length) for address, length in spans
         ]
-
-    def test_write_many_accepts_memoryviews(self):
-        # The coalescing join must pass buffer rows through without copying
-        # them into intermediate bytes objects -- memoryview rows of a shared
-        # array (the sealed-chunk DMA case) are first-class inputs.
-        port = self._port()
-        backing = _rows(2, 64, seed=61)
-        rows = memoryview(backing.reshape(-1)).cast("B")
-        port.write_many([(0, rows[0:64]), (64, rows[64:128])])
-        assert port.read(0, 128) == backing.reshape(-1).tobytes()
 
 
 def test_measure_many_matches_measure():

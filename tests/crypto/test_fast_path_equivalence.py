@@ -18,19 +18,23 @@ from repro.core.config import EngineSetConfig, RegionConfig
 from repro.core.engines import AesEngine
 from repro.core.sealing import RegionSealer
 from repro.crypto.aes import AES, BLOCK_SIZE
-from repro.crypto.fastaes import (
-    VectorAes,
-    fast_ctr_keystream,
-    fast_ctr_transform,
-    fast_ctr_transform_many,
-)
+from repro.crypto.fastaes import VectorAes
 from repro.crypto.modes import ctr_keystream, ctr_transform
-from repro.errors import CryptoError, IntegrityError
+from repro.errors import CryptoError, IntegrityError, ShieldError
 from tests.reference_sealer import ReferenceSealer
 
 
 def _rand_bytes(rnd: random.Random, length: int) -> bytes:
     return bytes(rnd.randrange(256) for _ in range(length))
+
+
+def _stack(rows: list) -> np.ndarray:
+    """Equal-length byte strings as one ``(n, length)`` uint8 batch."""
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), len(rows[0]))
+
+
+def _rows(array: np.ndarray) -> list:
+    return [row.tobytes() for row in array]
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +77,7 @@ def test_ctr_transform_equivalence_random_sweep():
         counter = rnd.choice([0, 1, 7, 255, 2**31, 2**32 - 2, 2**32 - 1])
         data = _rand_bytes(rnd, length)
         cipher = AES(key)
-        assert fast_ctr_transform(cipher, iv, data, counter) == ctr_transform(
+        assert VectorAes(cipher).ctr_transform(iv, data, counter) == ctr_transform(
             cipher, iv, data, counter
         )
 
@@ -82,8 +86,9 @@ def test_ctr_keystream_equivalence_and_partial_tail():
     rnd = random.Random(7)
     cipher = AES(_rand_bytes(rnd, 16))
     iv = _rand_bytes(rnd, 12)
+    vector = VectorAes(cipher)
     for length in (0, 1, 15, 16, 17, 100, 512, 513):
-        assert fast_ctr_keystream(cipher, iv, length) == ctr_keystream(cipher, iv, length)
+        assert vector.keystream(iv, length).tobytes() == ctr_keystream(cipher, iv, length)
 
 
 def test_ctr_roundtrip_through_mixed_paths():
@@ -93,13 +98,14 @@ def test_ctr_roundtrip_through_mixed_paths():
     iv = _rand_bytes(rnd, 12)
     data = _rand_bytes(rnd, 1234)
     cipher = AES(key)
-    assert ctr_transform(cipher, iv, fast_ctr_transform(cipher, iv, data)) == data
-    assert fast_ctr_transform(cipher, iv, ctr_transform(cipher, iv, data)) == data
+    vector = VectorAes(cipher)
+    assert ctr_transform(cipher, iv, vector.ctr_transform(iv, data)) == data
+    assert vector.ctr_transform(iv, ctr_transform(cipher, iv, data)) == data
 
 
 def test_fast_path_rejects_bad_iv():
     with pytest.raises(CryptoError):
-        fast_ctr_transform(AES(bytes(16)), b"short", b"data")
+        VectorAes(AES(bytes(16))).ctr_transform(b"short", b"data")
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +121,23 @@ def test_ctr_transform_many_matches_per_chunk_scalar():
     for chunk_size in (16, 48, 512):
         ivs = [_rand_bytes(rnd, 12) for _ in range(9)]
         datas = [_rand_bytes(rnd, chunk_size) for _ in range(9)]
-        batch = fast_ctr_transform_many(vector, ivs, datas)
+        batch = _rows(vector.ctr_transform_array(_stack(ivs), _stack(datas)))
         for iv, data, out in zip(ivs, datas, batch):
             assert out == ctr_transform(cipher, iv, data)
 
 
 def test_ctr_transform_many_validates_inputs():
     vector = VectorAes(bytes(16))
-    with pytest.raises(CryptoError):
-        vector.ctr_transform_many([bytes(12)], [b"a", b"b"])
-    with pytest.raises(CryptoError):
-        vector.ctr_transform_many([bytes(12), bytes(12)], [b"aa", b"a"])
-    assert vector.ctr_transform_many([], []) == []
+    with pytest.raises(CryptoError):  # one IV for two chunk rows
+        vector.ctr_transform_array(_stack([bytes(12)]), _stack([b"a", b"b"]))
+    with pytest.raises(CryptoError):  # IVs must be 12 bytes
+        vector.ctr_transform_array(_stack([bytes(8)]), _stack([b"a"]))
+    with pytest.raises(CryptoError):  # chunks come as rows, not a flat buffer
+        vector.ctr_transform_array(_stack([bytes(12)]), np.zeros(16, dtype=np.uint8))
+    empty = vector.ctr_transform_array(
+        np.empty((0, 12), dtype=np.uint8), np.empty((0, 16), dtype=np.uint8)
+    )
+    assert empty.shape == (0, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +167,8 @@ def test_engine_matches_reference_ctr_transform(key_bits):
     chunks = [_rand_bytes(rnd, 256) for _ in range(5)]
     expected = [ctr_transform(cipher, iv, c) for iv, c in zip(ivs, chunks)]
     assert [engine.encrypt(iv, c) for iv, c in zip(ivs, chunks)] == expected
-    assert engine.encrypt_many(ivs, chunks) == expected
-    assert engine.decrypt_many(ivs, expected) == chunks
-    # A ragged batch (a truncated download's short last chunk) still
-    # transforms chunk by chunk.
-    ragged = chunks[:3] + [chunks[3][:100], b""]
-    assert engine.decrypt_many(ivs, ragged) == [
-        ctr_transform(cipher, iv, c) for iv, c in zip(ivs, ragged)
-    ]
+    assert _rows(engine.encrypt_many_array(_stack(ivs), _stack(chunks))) == expected
+    assert _rows(engine.decrypt_many_array(_stack(ivs), _stack(expected))) == chunks
 
 
 @pytest.mark.parametrize("mac_algorithm", ["HMAC", "PMAC", "CMAC"])
@@ -223,10 +228,8 @@ def test_tampered_ciphertext_fails_on_sealer_and_reference():
 
 
 def test_engine_batch_rejects_mismatched_lists():
-    from repro.errors import ShieldError
-
     engine = AesEngine(bytes(16))
     with pytest.raises(ShieldError):
-        engine.encrypt_many([bytes(12)], [b"a" * 16, b"b" * 16])
+        engine.encrypt_many_array(_stack([bytes(12)]), _stack([b"a" * 16, b"b" * 16]))
     with pytest.raises(ShieldError):
-        engine.decrypt_many([bytes(12), bytes(12)], [b"a" * 16])
+        engine.decrypt_many_array(_stack([bytes(12), bytes(12)]), _stack([b"a" * 16]))
