@@ -21,7 +21,7 @@ import os
 import time
 
 from benchmarks.conftest import record_bench
-from repro.cloud.shard import QueueDepthAutoscaler, replay_sharded
+from repro.cloud.shard import replay_sharded
 from repro.sim.traces import generate_trace
 
 NUM_JOBS = int(os.environ.get("SHARD_BENCH_JOBS", "100000"))
@@ -102,47 +102,3 @@ def test_shard_scale_replay_rate_gate():
         f"{seed_per_job_us:.0f} us/job)"
     )
 
-
-def test_autoscaled_heavy_tail_replay_recorded():
-    """Not a gate -- a tracked series: a bursty heavy-tailed trace on
-    deliberately undersized shards with the queue-depth autoscaler enabled,
-    so scaling behaviour (events, final fleet sizes, tail waits) is visible
-    in the artifact across PRs."""
-    jobs = max(1000, NUM_JOBS // 5)
-    trace = generate_trace(
-        jobs, seed=11, arrival="heavy_tailed", rate_jobs_per_s=200.0
-    )
-    report = replay_sharded(
-        trace,
-        num_shards=NUM_SHARDS,
-        boards_per_shard=2,
-        autoscaler_factory=lambda shard: QueueDepthAutoscaler(
-            min_boards=2, max_boards=32, high_watermark=4.0,
-            low_watermark=0.5, cooldown_s=120.0,
-        ),
-    )
-    scale_events = sum(len(s.scale_events) for s in report.shard_stats.values())
-    final_boards = {
-        str(shard): stats.final_boards
-        for shard, stats in sorted(report.shard_stats.items())
-    }
-    print(
-        f"\nautoscaled heavy-tail replay: {report.jobs} jobs, "
-        f"{scale_events} scale events, final boards {final_boards}, "
-        f"p99 wait {report.wait_percentile(99.0):.1f}s"
-    )
-    record_bench(
-        "shard",
-        "autoscaled_heavy_tail",
-        jobs=report.jobs,
-        shards=len(report.shard_stats),
-        start_boards_per_shard=2,
-        scale_events=scale_events,
-        final_boards_by_shard=final_boards,
-        wait_p99_s=round(report.wait_percentile(99.0), 3),
-        affinity_hit_rate=round(report.affinity_hit_rate, 4),
-    )
-    assert scale_events > 0, "a bursty overload must trigger the autoscaler"
-    assert all(
-        boards >= 2 for boards in final_boards.values()
-    ), "drain-only shrink can never go below min_boards"

@@ -20,7 +20,7 @@ Three subcommands cover the common workflows without writing any Python:
 * ``shard-replay`` -- generate a large synthetic trace (Poisson, diurnal, or
   heavy-tailed arrivals; Zipf tenant popularity) and replay it across N shard
   fleets behind the consistent-hash :class:`~repro.cloud.shard.ShardRouter`,
-  one simulator per shard, optionally with the queue-depth autoscaler;
+  one fixed-size simulated fleet per shard;
 * ``trace-report`` -- render per-stage latency percentiles and per-tenant
   breakdowns from a JSONL trace written by ``--trace``;
 * ``list`` -- enumerate the available accelerators, experiments, and board
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard_parser.add_argument(
         "--boards-per-shard", type=int, default=4,
-        help="starting board count of each shard fleet",
+        help="board count of each (fixed) shard fleet",
     )
     shard_parser.add_argument(
         "--jobs", type=int, default=100_000, help="jobs in the generated trace"
@@ -208,11 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_parser.add_argument(
         "--rate", type=float, default=200.0,
         help="mean arrival rate of the generated trace (jobs/s)",
-    )
-    shard_parser.add_argument(
-        "--autoscale-max", type=int, default=None, metavar="N",
-        help="enable the queue-depth autoscaler, growing each shard up to N "
-        "boards (default: fixed fleets)",
     )
     _add_scheduling_flags(shard_parser)
 
@@ -541,19 +536,11 @@ def run_shard_replay(args: argparse.Namespace, out=sys.stdout) -> int:
     """Shard-scale replay: generate a trace, route it, replay per shard."""
     import time
 
-    from repro.cloud.shard import QueueDepthAutoscaler, replay_sharded
+    from repro.cloud.shard import replay_sharded
     from repro.sim.traces import generate_trace
 
     if not _flags_at_least_one(args, out, "shards", "boards_per_shard", "jobs"):
         return 2
-    if args.autoscale_max is not None and args.autoscale_max < args.boards_per_shard:
-        print("error: --autoscale-max must be >= --boards-per-shard", file=out)
-        return 2
-    autoscaler_factory = None
-    if args.autoscale_max is not None:
-        def autoscaler_factory(shard, _max=args.autoscale_max,
-                               _min=args.boards_per_shard):
-            return QueueDepthAutoscaler(min_boards=_min, max_boards=_max)
     trace = generate_trace(
         args.jobs, seed=args.seed, arrival=args.arrival,
         rate_jobs_per_s=args.rate,
@@ -565,7 +552,6 @@ def run_shard_replay(args: argparse.Namespace, out=sys.stdout) -> int:
         boards_per_shard=args.boards_per_shard,
         policy=args.policy,
         affinity=not args.no_affinity,
-        autoscaler_factory=autoscaler_factory,
     )
     wall = time.perf_counter() - started
     print(render_experiment(report.to_experiment()), file=out)

@@ -28,7 +28,6 @@ from repro.cloud.policies import (
 )
 from repro.cloud.scheduler import AcceleratorJob, FleetScheduler, JobState
 from repro.cloud.shard import (
-    QueueDepthAutoscaler,
     ShardReplayReport,
     ShardRouter,
     partition_trace,
@@ -64,7 +63,6 @@ __all__ = [
     "WeightedFairSharePolicy",
     "ShortestJobFirstPolicy",
     "make_policy",
-    "QueueDepthAutoscaler",
     "ShardReplayReport",
     "ShardRouter",
     "partition_trace",

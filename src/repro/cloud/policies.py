@@ -60,31 +60,16 @@ class SchedulingPolicy:
     ``AcceleratorJob``, the simulator its ``TraceEvent``); ``pop``'s optional
     ``eligible`` predicate is called with the payload and skips jobs without
     disturbing their relative order.  ``remove`` supports cancellation by
-    predicate; per-tenant pending counts are maintained so admission quotas
-    stay O(1).
+    predicate.  Each policy keeps ``_len``, the number of queued jobs.
     """
 
     name = "base"
 
     def __init__(self) -> None:
         self._len = 0
-        self._tenant_pending: dict = {}
-
-    def _count(self, request: JobRequest, delta: int) -> None:
-        self._len += delta
-        tenant = request.tenant
-        pending = self._tenant_pending.get(tenant, 0) + delta
-        if pending:
-            self._tenant_pending[tenant] = pending
-        else:
-            self._tenant_pending.pop(tenant, None)
 
     def __len__(self) -> int:
         return self._len
-
-    def pending_for(self, tenant: str) -> int:
-        """Queued jobs of one tenant (kept incrementally -- O(1))."""
-        return self._tenant_pending.get(tenant, 0)
 
     def push(self, request: JobRequest, payload=None) -> None:
         raise NotImplementedError
@@ -133,7 +118,7 @@ class FifoPolicy(SchedulingPolicy):
                 self._entries.append(tail.pop())
         else:
             self._entries.append(entry)
-        self._count(request, +1)
+        self._len += 1
 
     def pop(self, eligible=None) -> Optional[tuple]:
         skipped = []
@@ -148,7 +133,7 @@ class FifoPolicy(SchedulingPolicy):
         while skipped:
             self._entries.appendleft(skipped.pop())
         if found is not None:
-            self._count(found[0], -1)
+            self._len -= 1
         return found
 
     def remove(self, predicate=None) -> list:
@@ -156,10 +141,10 @@ class FifoPolicy(SchedulingPolicy):
         for entry in self._entries:
             if predicate is None or predicate(entry[1]):
                 removed.append(entry)
-                self._count(entry[0], -1)
             else:
                 kept.append(entry)
         self._entries = kept
+        self._len = len(kept)
         return removed
 
 
@@ -183,7 +168,7 @@ class _HeapPolicy(SchedulingPolicy):
 
     def push(self, request: JobRequest, payload=None) -> None:
         heapq.heappush(self._heap, (self.key(request), [request, payload, True]))
-        self._count(request, +1)
+        self._len += 1
 
     def pop(self, eligible=None) -> Optional[tuple]:
         skipped = []
@@ -201,7 +186,7 @@ class _HeapPolicy(SchedulingPolicy):
             heapq.heappush(self._heap, item)
         if found is None:
             return None
-        self._count(found[0], -1)
+        self._len -= 1
         return found[0], found[1]
 
     def remove(self, predicate=None) -> list:
@@ -210,7 +195,7 @@ class _HeapPolicy(SchedulingPolicy):
             if cell[2] and (predicate is None or predicate(cell[1])):
                 removed.append((cell[0], cell[1]))
                 cell[1], cell[2] = None, False
-                self._count(cell[0], -1)
+        self._len -= len(removed)
         if removed and self._len * 2 < len(self._heap):
             self._heap = [item for item in self._heap if item[1][2]]
             heapq.heapify(self._heap)
@@ -321,7 +306,7 @@ class WeightedFairSharePolicy(SchedulingPolicy):
         served = self._served.get(request.tenant, 0.0)
         prev = sub.best(served)
         sub.push([request, payload, True])
-        self._count(request, +1)
+        self._len += 1
         # Only a cell that *improves* the tenant's best gets a cross entry --
         # pushing the unchanged best again would pile same-rank duplicates
         # under the heap top (one per queued job) and melt the pop loop down
@@ -390,7 +375,7 @@ class WeightedFairSharePolicy(SchedulingPolicy):
     def _retire(self, cell) -> None:
         """Kill a popped or removed cell and release its payload."""
         cell[1], cell[2] = None, False
-        self._count(cell[0], -1)
+        self._len -= 1
         tenant = cell[0].tenant
         sub = self._tenants[tenant]
         sub.live -= 1
@@ -462,16 +447,6 @@ class BoardIndex:
     def __len__(self) -> int:
         return len(self._free)
 
-    @property
-    def free_names(self) -> list:
-        """Free boards in release order, longest idle first."""
-        return sorted(self._free, key=self._free.__getitem__)
-
-    def add_board(self, name, resident=None) -> None:
-        """Register a new (autoscaled-in) board and free it, coldest rank."""
-        self.resident[name] = resident
-        self.release(name)
-
     def release(self, name) -> None:
         """Return a board to the free pool at the back of the rotation."""
         stamp = self._next_stamp
@@ -481,12 +456,6 @@ class BoardIndex:
         session = self.resident.get(name)
         if session is not None:
             heapq.heappush(self._warm.setdefault(session, []), (stamp, name))
-
-    def discard(self, name) -> None:
-        """Drop a free (autoscaled-out) board from the pool entirely."""
-        if self._free.pop(name, None) is None:
-            raise SchedulingError(f"board {name!r} is not free, cannot discard")
-        self.resident.pop(name, None)
 
     def place(self, session_id, prefer_affinity: bool = True):
         """Claim and return the board for a job of ``session_id``."""

@@ -7,8 +7,8 @@ falling back to the free board that has been idle longest (round-robin
 rotation over the fleet) -- so tests can assert exact placements.  It knows
 nothing about tenants' keys: isolation lives in
 :class:`~repro.cloud.service.ShieldCloudService`; the scheduler decides
-*when* and *where* a job runs and enforces admission limits (a fleet-wide
-queue cap and per-tenant queue quotas) at submit time.
+*when* and *where* a job runs and enforces one admission limit, a
+fleet-wide queue cap, at submit time.
 
 Boards are released as soon as a job finishes.  With affinity enabled the
 session's Shield stays resident on the released board, and a later job of the
@@ -41,7 +41,7 @@ class JobState(enum.Enum):
     RUNNING = "running"
     COMPLETED = "completed"
     FAILED = "failed"
-    #: Refused at submit time by admission control (queue cap / tenant quota).
+    #: Refused at submit time by admission control (the fleet queue cap).
     REJECTED = "rejected"
     #: Dropped from the queue before placement (session closed).
     CANCELLED = "cancelled"
@@ -102,7 +102,6 @@ class FleetScheduler:
         policy="fifo",
         affinity: bool = True,
         queue_cap: int | None = None,
-        tenant_quota: int | None = None,
         history_limit: int | None = DEFAULT_HISTORY_LIMIT,
         metrics=None,
     ):
@@ -114,14 +113,11 @@ class FleetScheduler:
             raise SchedulingError("a fleet needs at least one board")
         if queue_cap is not None and queue_cap < 1:
             raise SchedulingError("queue_cap must be positive (or None for unbounded)")
-        if tenant_quota is not None and tenant_quota < 1:
-            raise SchedulingError("tenant_quota must be positive (or None for unbounded)")
         self._board_names = list(board_names)
         #: The policy is the queue: O(log n) push and pop in policy order.
         self.policy = make_policy(policy)
         self.affinity = bool(affinity)
         self.queue_cap = queue_cap
-        self.tenant_quota = tenant_quota
         #: board name -> session the board's resident (warm) Shield belongs to.
         #: Shared with the :class:`BoardIndex`, so ``evict`` is one dict write.
         self.resident_sessions: dict = {name: None for name in board_names}
@@ -150,25 +146,16 @@ class FleetScheduler:
 
     @loop_owned
     def submit(self, job: AcceleratorJob) -> None:
-        """Queue a job, enforcing the fleet cap and the tenant quota.
+        """Queue a job, enforcing the fleet queue cap.
 
         Raises :class:`~repro.errors.AdmissionError` (and marks the job
-        ``REJECTED``) when a limit is hit -- backpressure is a first-class
+        ``REJECTED``) when the queue is full -- backpressure is a first-class
         outcome, not a crash.
         """
         if job.state is not JobState.QUEUED:
             raise SchedulingError(f"job {job.job_id!r} is not in the QUEUED state")
         if self.queue_cap is not None and len(self.policy) >= self.queue_cap:
             self._reject(job, f"fleet queue is full ({self.queue_cap} job(s) pending)")
-        if self.tenant_quota is not None:
-            tenant = job.tenant or job.session_id
-            pending = self.policy.pending_for(tenant)
-            if pending >= self.tenant_quota:
-                self._reject(
-                    job,
-                    f"tenant {tenant!r} already has {pending} job(s) queued "
-                    f"(quota {self.tenant_quota})",
-                )
         self._seq += 1
         job.seq = self._seq
         self.policy.push(job.request_view(), job)

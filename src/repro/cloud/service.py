@@ -180,12 +180,10 @@ class ShieldCloudService:
         num_boards: int = 2,
         board_model: BoardModel | str = BoardModel.AWS_F1,
         fast_crypto: bool = True,
-        serial_prefix: str = "cloud-fpga",
         ledger_limit: int | None = None,
         policy="fifo",
         affinity: bool = True,
         queue_cap: int | None = None,
-        tenant_quota: int | None = None,
         history_limit: int | None = None,
         job_retention: int | None = 1024,
         obs=None,
@@ -199,10 +197,11 @@ class ShieldCloudService:
         ``policy`` names a :mod:`~repro.cloud.policies` scheduling policy
         (``fifo``/``priority``/``fair``/``sjf``); ``affinity`` keeps a
         session's Shield warm on its board between jobs so repeated-tenant
-        traffic skips the teardown+reload; ``queue_cap``/``tenant_quota``
-        bound the pending queue fleet-wide and per tenant (violations come
-        back as ``JobState.REJECTED``); ``history_limit`` caps each board's
-        placement-history ring (None uses the scheduler default).
+        traffic skips the teardown+reload; ``queue_cap`` bounds the pending
+        queue fleet-wide (a job submitted to a full queue comes back as
+        ``JobState.REJECTED``); ``history_limit`` caps each board's
+        placement-history ring (None uses the scheduler default).  Boards
+        carry the serials ``cloud-fpga-0000``, ``cloud-fpga-0001``, ...
 
         ``job_retention`` bounds how many *terminal* jobs (COMPLETED /
         FAILED / CANCELLED / REJECTED) stay reachable through
@@ -246,7 +245,7 @@ class ShieldCloudService:
         self.slots: dict[str, BoardSlot] = {}
         for index in range(num_boards):
             name = f"board-{index}"
-            board = make_board(board_model, serial=f"{serial_prefix}-{index:04d}")
+            board = make_board(board_model, serial=f"cloud-fpga-{index:04d}")
             slot = BoardSlot(name=name, board=board, metrics=self.metrics)
             # The service audits its own boards: every DMA transfer (the only
             # way bulk data crosses the host boundary) is recorded verbatim
@@ -260,7 +259,6 @@ class ShieldCloudService:
             policy=policy,
             affinity=self.affinity,
             queue_cap=queue_cap,
-            tenant_quota=tenant_quota,
             history_limit=DEFAULT_HISTORY_LIMIT if history_limit is None else history_limit,
             metrics=self.metrics,
         )
@@ -493,7 +491,7 @@ class ShieldCloudService:
         ``priority`` and ``cost_estimate`` feed the scheduling policy
         (``priority`` and ``sjf`` respectively); the job's fair-share weight
         comes from the session.  When admission control refuses the job
-        (fleet queue cap or tenant quota), the returned job carries
+        (the fleet queue is full), the returned job carries
         ``JobState.REJECTED`` and the reason in ``job.error`` -- backpressure
         is an outcome the caller checks, not an exception it catches.
         """

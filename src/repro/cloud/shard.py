@@ -1,25 +1,21 @@
 """Shard-scale serving: consistent-hash session routing over N board fleets.
 
 One :class:`~repro.cloud.service.ShieldCloudService` (and its timed twin,
-:class:`~repro.sim.cloud.CloudSimulator`) models one fleet.  The ROADMAP's
-north star is millions of tenant sessions, which no single fleet reaches --
-so this module adds the scale-out layer:
+:class:`~repro.sim.cloud.CloudSimulator`) models one fixed fleet of boards.
+This module splits a trace across several such fleets:
 
 * :class:`ShardRouter` -- a consistent-hash ring with virtual nodes that maps
   every session id to one shard, so warm-Shield affinity remains a
   shard-local property (a session's warm boards are always inside the shard
   that serves it).  Virtual nodes keep the key space balanced (the property
   tests pin the balance down).
-* :class:`QueueDepthAutoscaler` -- a deterministic queue-depth-driven
-  controller the simulator consults as modelled time advances.  It grows a
-  shard's fleet with cold boards when the backlog per board crosses the high
-  watermark and drains idle boards (longest idle first -- busy boards are
-  never revoked) once the backlog falls below the low watermark.
 * :func:`replay_sharded` -- the multi-fleet replay driver: partition a trace
-  by routed session, replay every shard in turn on its own
+  by routed session, replay every shard in turn on its own fixed-size
   :class:`~repro.sim.cloud.CloudSimulator`, and merge the per-shard
   :class:`~repro.sim.cloud.ReplayStats` into a single
-  :class:`ShardReplayReport` with *global* tail percentiles.
+  :class:`ShardReplayReport` with *global* tail percentiles.  The report
+  holds modelled numbers only, so replaying one trace twice gives equal
+  reports; callers that want the host cost time the call themselves.
 
 The driver is how the scheduling core gets validated at 10^5-10^6-job scale
 where the functional byte-moving service is too expensive to run; see
@@ -30,9 +26,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.annotations import loop_owned
 from repro.errors import ShardingError
@@ -41,7 +35,6 @@ from repro.sim.results import ExperimentResult
 
 __all__ = [
     "DEFAULT_VNODES",
-    "QueueDepthAutoscaler",
     "ShardReplayReport",
     "ShardRouter",
     "partition_trace",
@@ -110,56 +103,6 @@ class ShardRouter:
         return list(self._shards)
 
 
-@dataclass
-class QueueDepthAutoscaler:
-    """Deterministic queue-depth autoscaling for one shard's board fleet.
-
-    The simulator consults :meth:`target_boards` whenever modelled time
-    advances.  The controller is proportional on the backlog: above the high
-    watermark it asks for ``ceil(queue_depth / high_watermark)`` boards (the
-    fleet that would bring the per-board backlog back to the watermark); at
-    or below the low watermark it retires one board per cooldown window.
-    Growth adds *cold* boards (their first job pays the full Shield load);
-    shrinking is drain-only -- the simulator revokes idle boards, longest
-    idle first, and a busy board simply finishes its work and falls idle
-    before a later consult can retire it.  The cooldown gates scaling in
-    *modelled* seconds, so decisions replay identically across runs.
-    """
-
-    min_boards: int = 1
-    max_boards: int = 64
-    #: Queued jobs per board above which the fleet grows.
-    high_watermark: float = 4.0
-    #: Queued jobs per board at or below which the fleet shrinks by one.
-    low_watermark: float = 0.5
-    #: Minimum modelled seconds between scaling decisions.
-    cooldown_s: float = 30.0
-    _last_scale_s: float = field(default=float("-inf"), repr=False)
-
-    def __post_init__(self):
-        if self.min_boards < 1:
-            raise ShardingError("min_boards must be positive")
-        if self.max_boards < self.min_boards:
-            raise ShardingError("max_boards must be >= min_boards")
-        if self.low_watermark < 0 or self.high_watermark <= self.low_watermark:
-            raise ShardingError("watermarks must satisfy 0 <= low < high")
-
-    def target_boards(self, now_s: float, queue_depth: int, num_boards: int) -> int:
-        """The board count the shard should run right now."""
-        if now_s - self._last_scale_s < self.cooldown_s:
-            return num_boards
-        if queue_depth > self.high_watermark * num_boards:
-            desired = math.ceil(queue_depth / self.high_watermark)
-            target = min(self.max_boards, max(num_boards + 1, desired))
-        elif queue_depth <= self.low_watermark * num_boards:
-            target = max(self.min_boards, num_boards - 1)
-        else:
-            return num_boards
-        if target != num_boards:
-            self._last_scale_s = now_s
-        return target
-
-
 # -- multi-shard replay driver --------------------------------------------------
 
 
@@ -177,21 +120,25 @@ def partition_trace(trace: list, router: ShardRouter) -> dict:
     return shard_traces
 
 
+def _round_wait(seconds):
+    """A wait percentile as a table cell: blank when there were no jobs."""
+    return "" if seconds is None else round(seconds, 3)
+
+
 @dataclass
 class ShardReplayReport:
     """Merged outcome of a multi-shard replay.
 
     Per-shard :class:`~repro.sim.cloud.ReplayStats` plus the global view:
     tail percentiles are computed over the *concatenated* per-job waits (a
-    per-shard percentile average would understate the global tail), and
-    throughput is total jobs over the driver's wall-clock time.
+    per-shard percentile average would understate the global tail).  Every
+    field is modelled, so two replays of one trace compare equal.
     """
 
     shard_stats: dict
     shard_jobs: dict
     boards_per_shard: int
     policy: str
-    wall_s: float
 
     @property
     def shards(self) -> list:
@@ -217,13 +164,8 @@ class ShardReplayReport:
             return 0.0
         return max(stats.makespan_s for stats in self.shard_stats.values())
 
-    @property
-    def jobs_per_sec(self) -> float:
-        """Replay throughput (jobs over driver wall-clock seconds)."""
-        return self.jobs / self.wall_s if self.wall_s > 0 else 0.0
-
-    def wait_percentile(self, q: float) -> float:
-        """Global wait percentile over every shard's per-job waits."""
+    def wait_percentile(self, q: float) -> float | None:
+        """Global wait percentile over every shard's per-job waits; ``None`` without jobs."""
         merged: list = []
         for stats in self.shard_stats.values():
             merged.extend(stats.waits)
@@ -249,11 +191,9 @@ class ShardReplayReport:
                 "policy": self.policy,
                 "jobs": self.jobs,
                 "makespan_s": round(self.makespan_s, 3),
-                "wall_s": round(self.wall_s, 4),
-                "jobs_per_sec": round(self.jobs_per_sec, 1),
-                "wait_p50_s": round(self.wait_percentile(50.0), 3),
-                "wait_p99_s": round(self.wait_percentile(99.0), 3),
-                "wait_p999_s": round(self.wait_percentile(99.9), 3),
+                "wait_p50_s": _round_wait(self.wait_percentile(50.0)),
+                "wait_p99_s": _round_wait(self.wait_percentile(99.0)),
+                "wait_p999_s": _round_wait(self.wait_percentile(99.9)),
                 "affinity_hit_rate": round(self.affinity_hit_rate, 4),
             },
         )
@@ -266,9 +206,7 @@ class ShardReplayReport:
                 utilization=round(stats.utilization, 4),
                 affinity_hit_rate=round(stats.affinity_hit_rate, 4),
                 warm_hits=stats.warm_hits,
-                wait_p99_s=round(stats.wait_percentile(99.0), 3),
-                final_boards=stats.final_boards,
-                scale_events=len(stats.scale_events),
+                wait_p99_s=_round_wait(stats.wait_percentile(99.0)),
             )
         return result
 
@@ -279,7 +217,6 @@ def replay_sharded(
     boards_per_shard: int = 4,
     policy="fifo",
     affinity: bool = True,
-    autoscaler_factory=None,
 ) -> ShardReplayReport:
     """Replay a trace across N shard fleets, one shard after another.
 
@@ -287,28 +224,23 @@ def replay_sharded(
     ``0..num_shards-1``, and every shard replays on its own
     :class:`~repro.sim.cloud.CloudSimulator` on the caller's thread (the
     replay is pure Python, so the GIL serialises a thread pool, and a
-    process pool measured no faster; see ``docs/sharding.md``).
-    ``autoscaler_factory(shard_id)`` builds one autoscaler per shard (state
-    is per-fleet, so instances must not be shared).
+    process pool measured no faster; see ``docs/sharding.md``).  Every
+    shard runs a fixed fleet of ``boards_per_shard`` boards.
     """
     # Imported here: repro.sim.cloud imports repro.cloud.policies, whose
     # package imports this module.
     from repro.sim.cloud import CloudSimulator
 
     shard_traces = partition_trace(trace, ShardRouter(range(num_shards)))
-    started = time.perf_counter()
     shard_stats: dict = {}
     for shard, events in shard_traces.items():
         simulator = CloudSimulator(
             num_boards=boards_per_shard, policy=policy, affinity=affinity
         )
-        autoscaler = autoscaler_factory(shard) if autoscaler_factory else None
-        shard_stats[shard] = simulator.replay_stats(events, autoscaler=autoscaler)
-    wall = time.perf_counter() - started
+        shard_stats[shard] = simulator.replay_stats(events)
     return ShardReplayReport(
         shard_stats=shard_stats,
         shard_jobs={shard: len(events) for shard, events in shard_traces.items()},
         boards_per_shard=boards_per_shard,
         policy=str(policy),
-        wall_s=wall,
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +44,12 @@ def region_key(data_encryption_key: bytes, region_name: str) -> bytes:
     return derive_subkey(data_encryption_key, f"region:{region_name}", 32)
 
 
+@lru_cache(maxsize=256)
+def _iv_seed(region_name: str) -> bytes:
+    """A region's 4-byte IV seed: its name's SHA-256, hashed once per process."""
+    return sha256(region_name.encode("utf-8"))[:4]
+
+
 def chunk_iv(region: RegionConfig, chunk_index: int, version: int = 0) -> bytes:
     """The 12-byte IV for a chunk: region seed || chunk index || write version.
 
@@ -50,8 +57,7 @@ def chunk_iv(region: RegionConfig, chunk_index: int, version: int = 0) -> bytes:
     write version in as well keeps CTR key streams unique across rewrites of
     replay-protected chunks.
     """
-    seed = sha256(region.name.encode("utf-8"))[:4]
-    return seed + chunk_index.to_bytes(4, "big") + (version & 0xFFFFFFFF).to_bytes(4, "big")
+    return _iv_seed(region.name) + chunk_index.to_bytes(4, "big") + (version & 0xFFFFFFFF).to_bytes(4, "big")
 
 
 def chunk_mac_context(region: RegionConfig, chunk_index: int, version: int) -> bytes:
@@ -172,8 +178,7 @@ class RegionSealer:
         """Vectorized :func:`chunk_iv`: one ``(n, 12)`` uint8 array for a batch."""
         n = len(indices)
         ivs = np.empty((n, 12), dtype=np.uint8)
-        seed = sha256(self.region.name.encode("utf-8"))[:4]
-        ivs[:, :4] = np.frombuffer(seed, dtype=np.uint8)
+        ivs[:, :4] = np.frombuffer(_iv_seed(self.region.name), dtype=np.uint8)
         ivs[:, 4:8] = np.asarray(indices, dtype=">u4").view(np.uint8).reshape(n, 4)
         ivs[:, 8:] = (
             (np.asarray(versions, dtype=np.uint64) & 0xFFFFFFFF)

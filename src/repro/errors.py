@@ -99,8 +99,8 @@ class SchedulingError(CloudError):
 
 class AdmissionError(SchedulingError):
     """A job was refused at submit time by admission control (backpressure):
-    the fleet-wide queue cap or the submitting tenant's queue quota was hit.
-    The job object carries ``JobState.REJECTED`` and the reason."""
+    the fleet-wide queue cap was hit.  The job object carries
+    ``JobState.REJECTED`` and the reason."""
 
 
 class TenantIsolationError(CloudError):

@@ -22,11 +22,11 @@ futures*:
   until its previous one finishes -- which also pins a session to its warm
   board, preserving the affinity behaviour of the synchronous drain.
 * **Backpressure.**  Per-tenant token buckets (:mod:`repro.serve.ratelimit`)
-  and a queue-depth load-shed bound layer on top of PR 5's admission
-  control.  Every refusal -- rate limit, shed, fleet queue cap, tenant
-  quota, post-shutdown submit -- resolves the caller's future with a job in
-  ``JobState.REJECTED`` carrying the reason; backpressure is never an
-  exception.
+  and a queue-depth load-shed bound layer on top of the scheduler's
+  admission control (its fleet queue cap).  Every refusal -- rate limit,
+  shed, fleet queue cap, post-shutdown submit -- resolves the caller's
+  future with a job in ``JobState.REJECTED`` carrying the reason;
+  backpressure is never an exception.
 * **Observability.**  Each accepted job gets an ``enqueue`` span
   (front-end admission -> scheduler queue) and an ``executor_handoff`` span
   (placed on the loop -> body starts on a worker thread) in addition to the
@@ -192,8 +192,8 @@ class AsyncShieldFrontend:
             outcome="rejected" if job.state is JobState.REJECTED else "queued",
         )
         if job.state is JobState.REJECTED:
-            # PR 5 admission control (queue cap / tenant quota): an outcome,
-            # never an exception on the await.
+            # The scheduler's admission control (the fleet queue cap): an
+            # outcome, never an exception on the await.
             future.set_result(job)
             return future
         self._futures[job.job_id] = future

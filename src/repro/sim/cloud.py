@@ -108,14 +108,8 @@ class ReplayStats:
     #: board id -> seconds the board spent serving (load + execute).
     board_busy_s: dict = field(default_factory=dict)
     warm_hits: int = 0
-    #: Integral of active board count over modelled time (board-seconds) --
-    #: the utilization denominator even when an autoscaler resized the fleet.
-    capacity_board_seconds: float = 0.0
-    #: Board count when the replay finished (equals the start count unless an
-    #: autoscaler resized the fleet).
-    final_boards: int = 0
-    #: ``(modelled_time_s, new_board_count)`` autoscaler decisions.
-    scale_events: list = field(default_factory=list)
+    #: Size of the (fixed) fleet the trace replayed on.
+    boards: int = 0
 
     @property
     def shield_loads(self) -> int:
@@ -127,11 +121,11 @@ class ReplayStats:
 
     @property
     def utilization(self) -> float:
-        busy = sum(self.board_busy_s.values())
-        capacity = self.capacity_board_seconds
-        return busy / capacity if capacity else 0.0
+        """Busy board-seconds over the fleet's board-seconds up to makespan."""
+        capacity = self.boards * self.makespan_s
+        return sum(self.board_busy_s.values()) / capacity if capacity else 0.0
 
-    def wait_percentile(self, q: float) -> float:
+    def wait_percentile(self, q: float) -> float | None:
         return percentile(self.waits, q)
 
 
@@ -185,7 +179,7 @@ class CloudSimulator:
 
     # -- replay -------------------------------------------------------------------
 
-    def replay(self, trace: list, autoscaler=None) -> list:
+    def replay(self, trace: list) -> list:
         """Replay the trace through the shared policy + affinity placement core.
 
         Event-driven: arrivals join the policy's queue at their arrival time;
@@ -196,15 +190,11 @@ class CloudSimulator:
         zero).  Free boards are ranked in release order (seeded by board
         index), the timed analogue of the functional scheduler's longest-idle
         rotation, so placements are deterministic and match the functional
-        fleet wherever time permits a comparison.
-
-        ``autoscaler`` is an optional queue-depth-driven controller (see
-        :class:`~repro.cloud.shard.QueueDepthAutoscaler`): it is consulted as
-        modelled time advances and may grow the fleet with cold boards or
-        drain idle ones; ``None`` keeps the fleet fixed at zero overhead.
+        fleet wherever time permits a comparison.  The fleet keeps its
+        ``num_boards`` boards for the whole replay.
         """
         rows: list = []
-        self._replay(trace, autoscaler, rows)
+        self._replay(trace, rows)
         return [
             CloudJobRecord(
                 tenant=event.tenant,
@@ -219,25 +209,26 @@ class CloudSimulator:
             for event, board, start, finish, warm, load in rows
         ]
 
-    def replay_stats(self, trace: list, autoscaler=None) -> "ReplayStats":
+    def replay_stats(self, trace: list) -> "ReplayStats":
         """Replay without materializing per-job records: aggregates only.
 
         The shard-scale driver replays 10^5-10^6-job traces where building a
         :class:`CloudJobRecord` per job dominates the runtime; this path
-        accumulates waits, per-board busy time, warm hits, and the capacity
-        integral inline and returns one :class:`ReplayStats`.
+        accumulates waits, per-board busy time and warm hits inline and
+        returns one :class:`ReplayStats`.
         """
-        return self._replay(trace, autoscaler, None)
+        return self._replay(trace, None)
 
     @hot_path
-    def _replay(self, trace: list, autoscaler, rows) -> "ReplayStats":
+    def _replay(self, trace: list, rows) -> "ReplayStats":
         """The dispatch loop shared by :meth:`replay` and :meth:`replay_stats`.
 
         When ``rows`` is a list, one raw ``(event, board, start, finish,
         warm, load)`` tuple is appended per job; aggregates are accumulated
         either way.  Tracing costs nothing when the tracer is disabled: the
         enabled check is hoisted out of the loop and the untraced path does
-        no per-job observability work at all.
+        no per-job observability work at all.  The fleet size is fixed, so
+        two counters (queued jobs, free boards) decide when to dispatch.
         """
         policy = make_policy(self.policy)
         tracer = self.obs.tracer
@@ -254,8 +245,8 @@ class CloudSimulator:
         next_arrival = 0
         resident: dict = {}
         boards = BoardIndex(range(self.num_boards), resident=resident)
-        next_board = self.num_boards
-        active_boards = self.num_boards
+        free_boards = self.num_boards
+        queued = 0
         busy: list = []  # (finish_s, board) min-heap
         admitted: set = set()
         # The modelled service time of a profile/config pair never changes
@@ -266,8 +257,6 @@ class CloudSimulator:
         waits: list = []
         board_busy: dict = {}
         warm_hits = 0
-        capacity_s = 0.0
-        scale_events: list = []
         now = 0.0
         while True:
             while next_arrival < num_events and arrival_times[next_arrival] <= now:
@@ -298,26 +287,11 @@ class CloudSimulator:
                     ),
                     event,
                 )
+                queued += 1
                 next_arrival += 1
-            if autoscaler is not None:
-                target = autoscaler.target_boards(now, len(policy), active_boards)
-                if target > active_boards:
-                    for _ in range(target - active_boards):
-                        boards.add_board(next_board)
-                        next_board += 1
-                    active_boards = target
-                    scale_events.append((now, target))
-                elif target < active_boards:
-                    # Drain semantics: only idle boards retire (longest idle
-                    # first); busy boards finish their jobs and a later
-                    # consult shrinks further once they fall idle.
-                    before = active_boards
-                    for name in boards.free_names[: before - target]:
-                        boards.discard(name)
-                        active_boards -= 1
-                    if active_boards != before:
-                        scale_events.append((now, active_boards))
-            while len(policy) and len(boards):
+            while queued and free_boards:
+                queued -= 1
+                free_boards -= 1
                 request, event = policy.pop()
                 session = request.session_id
                 board = boards.place(session, affinity)
@@ -346,20 +320,17 @@ class CloudSimulator:
                 frontier = busy[0][0]
             else:
                 break
-            if frontier > now:
-                capacity_s += active_boards * (frontier - now)
-                now = frontier
+            now = frontier
             while busy and busy[0][0] <= now:
                 boards.release(heapq.heappop(busy)[1])
+                free_boards += 1
         return ReplayStats(
             jobs=len(waits),
             makespan_s=now,
             waits=waits,
             board_busy_s=board_busy,
             warm_hits=warm_hits,
-            capacity_board_seconds=capacity_s,
-            final_boards=active_boards,
-            scale_events=scale_events,
+            boards=self.num_boards,
         )
 
     def _emit_job_events(
@@ -400,7 +371,7 @@ class CloudSimulator:
     ) -> ExperimentResult:
         """Replay and package the outcome as a renderable/exportable experiment."""
         rows: list = []
-        stats = self._replay(trace, None, rows)
+        stats = self._replay(trace, rows)
         if not stats.jobs:
             raise SimulationError("cannot replay an empty trace")
         busy = sum(stats.board_busy_s.values())

@@ -157,14 +157,14 @@ def test_eligible_pop_and_remove_match_payloads(policy):
     queue = make_policy(policy)
     for seq in range(1, 7):
         queue.push(_request(seq, tenant=f"t{seq % 2}"), f"p{seq}")
-    assert queue.pending_for("t0") == 3
+    assert len(queue) == 6
     assert queue.pop(lambda payload: False) is None
     assert queue.pop(lambda payload: payload == "p4")[1] == "p4"
     removed = queue.remove(lambda payload: payload in ("p2", "p3"))
     assert sorted(payload for _, payload in removed) == ["p2", "p3"]
-    assert len(queue) == 3 and queue.pending_for("t0") == 1
+    assert len(queue) == 3
     assert sorted(payload for _, payload in queue.remove()) == ["p1", "p5", "p6"]
-    assert len(queue) == 0 and queue.pending_for("t1") == 0
+    assert len(queue) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +184,15 @@ def test_place_takes_the_longest_idle_warm_board():
     boards = BoardIndex(["b0", "b1", "b2"], resident=resident)
     assert boards.place("sess-a") == "b1"
     assert boards.place("sess-a") == "b2"
-    # A released board rejoins at the back of the rotation.
+    # A released board rejoins at the back of the rotation: it is still the
+    # session's warm pick, but the cold rotation reaches it only after b0.
     boards.release("b1")
-    assert boards.free_names == ["b0", "b1"]
+    assert len(boards) == 2
     assert boards.place("sess-a") == "b1"
+    boards.release("b1")
+    assert boards.place("sess-z", prefer_affinity=False) == "b0"
+    assert boards.place("sess-z", prefer_affinity=False) == "b1"
+    assert len(boards) == 0
 
 
 def test_place_without_affinity_takes_the_longest_idle_board():

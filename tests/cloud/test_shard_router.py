@@ -1,10 +1,10 @@
-"""Shard layer: consistent-hash ring properties, autoscaler, replay driver.
+"""Shard layer: consistent-hash ring properties and the replay driver.
 
 The ring is pinned by a seeded balance test (virtual nodes give every shard
 within tolerance of 1/N of the sessions), a determinism test, and golden
-placements of fixed session ids.  The queue-depth autoscaler's
-grow/drain/cooldown rules, the multi-shard replay's merge, determinism and
-trace stream, and the ``shard-replay`` CLI are covered as well.
+placements of fixed session ids.  The multi-shard replay's merge, golden
+modelled results, determinism and trace stream, and the ``shard-replay``
+CLI are covered as well.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ import pytest
 
 import repro.obs as obs_api
 from repro.cli import main
-from repro.cloud.shard import (
-    QueueDepthAutoscaler,
-    ShardRouter,
-    partition_trace,
-    replay_sharded,
-)
+from repro.cloud.shard import ShardRouter, partition_trace, replay_sharded
 from repro.errors import ShardingError
 from repro.obs import JOB_STAGES
 from repro.sim.traces import generate_trace
@@ -91,61 +86,6 @@ def test_empty_router_raises():
 
 
 # ---------------------------------------------------------------------------
-# Queue-depth autoscaler
-# ---------------------------------------------------------------------------
-
-
-def test_autoscaler_grows_proportionally_and_respects_cooldown():
-    scaler = QueueDepthAutoscaler(
-        min_boards=2, max_boards=32, high_watermark=4.0,
-        low_watermark=0.5, cooldown_s=30.0,
-    )
-    # Backlog of 100 over 4 boards: grow to ceil(100/4) = 25 boards.
-    assert scaler.target_boards(0.0, 100, 4) == 25
-    # Inside the cooldown window nothing changes, however deep the queue.
-    assert scaler.target_boards(10.0, 500, 25) == 25
-    # After the cooldown the backlog is gone: drain one board per window.
-    assert scaler.target_boards(40.0, 0, 25) == 24
-    assert scaler.target_boards(50.0, 0, 24) == 24  # cooldown again
-    assert scaler.target_boards(80.0, 0, 24) == 23
-
-
-def test_autoscaler_clamps_to_min_and_max():
-    scaler = QueueDepthAutoscaler(
-        min_boards=2, max_boards=8, high_watermark=2.0,
-        low_watermark=0.5, cooldown_s=0.0,
-    )
-    assert scaler.target_boards(0.0, 10_000, 4) == 8
-    assert scaler.target_boards(1.0, 0, 2) == 2
-    with pytest.raises(ShardingError):
-        QueueDepthAutoscaler(min_boards=0)
-    with pytest.raises(ShardingError):
-        QueueDepthAutoscaler(min_boards=4, max_boards=2)
-    with pytest.raises(ShardingError):
-        QueueDepthAutoscaler(high_watermark=1.0, low_watermark=2.0)
-
-
-def test_autoscaled_replay_grows_fleet_and_never_revokes_busy_boards():
-    trace = generate_trace(4000, seed=3, arrival="heavy_tailed",
-                           rate_jobs_per_s=100.0)
-    report = replay_sharded(
-        trace, num_shards=4, boards_per_shard=2,
-        autoscaler_factory=lambda shard: QueueDepthAutoscaler(
-            min_boards=2, max_boards=16, high_watermark=4.0,
-            low_watermark=0.5, cooldown_s=60.0,
-        ),
-    )
-    assert report.jobs == 4000
-    for stats in report.shard_stats.values():
-        assert stats.scale_events, "overload must trigger scaling"
-        # Drain-only shrink: the modelled board count never dips below min.
-        assert stats.final_boards >= 2
-        # Capacity integral reflects the resized fleet, so utilization is a
-        # real fraction even mid-scaling.
-        assert 0.0 < stats.utilization <= 1.0
-
-
-# ---------------------------------------------------------------------------
 # Multi-shard replay driver
 # ---------------------------------------------------------------------------
 
@@ -176,24 +116,112 @@ def test_replay_sharded_merges_shard_stats():
     # Global percentiles are monotone and bracket the per-shard extremes.
     p50, p99, p999 = (report.wait_percentile(q) for q in (50.0, 99.0, 99.9))
     assert 0.0 <= p50 <= p99 <= p999
-    assert report.jobs_per_sec > 0
     experiment = report.to_experiment()
     assert experiment.metadata["jobs"] == len(trace)
     assert len(experiment.rows) == 8
 
 
+#: ``(policy, affinity)`` -> per-shard ``(jobs, warm_hits, makespan_s,
+#: utilization)`` on shards 0..3, and the global p50/p99/p99.9 waits, for
+#: ``generate_trace(3000, seed=33, rate_jobs_per_s=100.0)`` on 4 shards x 4
+#: boards.  Exact float reprs: any change to routing, policies, placement or
+#: pricing moves them.
+GOLDEN_REPLAYS = {
+    ('fair', True): (
+        (
+            (509, 43, 725.8501330081732, 0.9952024847563327),
+            (756, 75, 1060.365497641277, 0.9955572997574127),
+            (717, 168, 855.7325496384927, 0.9945359739391146),
+            (1018, 201, 1271.151642306836, 0.996333111919969),
+        ),
+        (542.8187510994686, 1199.9326279912818, 1229.2447545122313),
+    ),
+    ('fair', False): (
+        (
+            (509, 0, 793.8255655730164, 0.9939436195417857),
+            (756, 0, 1172.036291607691, 0.999887648513141),
+            (717, 0, 1116.1579424817887, 0.9957881070261319),
+            (1018, 0, 1581.1693399443868, 0.9980211680282493),
+        ),
+        (564.1763497961499, 1497.285888183916, 1539.21078808774),
+    ),
+    ('fifo', True): (
+        (
+            (509, 23, 756.8395805827614, 0.9954128658947257),
+            (756, 38, 1116.160155324818, 0.997172857567),
+            (717, 64, 1016.9526299087996, 0.9953824543203164),
+            (1018, 94, 1432.4583310199052, 0.9999177222013359),
+        ),
+        (520.5781055671407, 1359.916203793094, 1396.1380849262912),
+    ),
+    ('fifo', False): (
+        (
+            (509, 0, 793.8279542600752, 0.993940628691881),
+            (756, 0, 1172.0277716035494, 0.9998949171522578),
+            (717, 0, 1116.1455379814597, 0.9957991739107639),
+            (1018, 0, 1581.1875920294683, 0.998009647594264),
+        ),
+        (561.2395112106376, 1496.5496437856377, 1538.9652176705204),
+    ),
+    ('priority', True): (
+        (
+            (509, 17, 763.1460549801906, 0.9993733846272005),
+            (756, 31, 1128.5548081508311, 0.995835207533379),
+            (717, 46, 1041.8320839528524, 0.9983919872573184),
+            (1018, 89, 1444.7425047810027, 0.996780026015808),
+        ),
+        (525.2699537405499, 1375.0725272770642, 1403.9037972027465),
+    ),
+    ('priority', False): (
+        (
+            (509, 0, 793.8258847718866, 0.9939432198752005),
+            (756, 0, 1172.039963304632, 0.9998845161247113),
+            (717, 0, 1116.1553055289419, 0.9957904596075966),
+            (1018, 0, 1581.171799564528, 0.9980196155385281),
+        ),
+        (565.69513624089, 1506.0607719931293, 1540.632339083448),
+    ),
+    ('sjf', True): (
+        (
+            (509, 17, 763.1545395177895, 0.9993622738748964),
+            (756, 32, 1122.4403566373353, 0.9998790625721371),
+            (717, 58, 1023.2352881832509, 0.9983596309504623),
+            (1018, 98, 1426.2509981177766, 0.999922505494352),
+        ),
+        (531.1500664161703, 1356.3942083548106, 1389.9970260232392),
+    ),
+    ('sjf', False): (
+        (
+            (509, 0, 793.82570743918, 0.9939434419121524),
+            (756, 0, 1172.0388221609123, 0.9998854896521342),
+            (717, 0, 1116.1467855247993, 0.9957980608827598),
+            (1018, 0, 1581.1741882515835, 0.9980181078257423),
+        ),
+        (568.7600004292376, 1499.2042140282176, 1539.5213051743006),
+    ),
+}
+
+
+@pytest.mark.parametrize("policy, affinity", sorted(GOLDEN_REPLAYS))
+def test_replay_sharded_matches_golden_results(policy, affinity):
+    trace = generate_trace(3000, seed=33, rate_jobs_per_s=100.0)
+    report = replay_sharded(
+        trace, num_shards=4, boards_per_shard=4, policy=policy, affinity=affinity
+    )
+    shards = tuple(
+        (stats.jobs, stats.warm_hits, stats.makespan_s, stats.utilization)
+        for _, stats in sorted(report.shard_stats.items())
+    )
+    waits = tuple(report.wait_percentile(q) for q in (50.0, 99.0, 99.9))
+    assert (shards, waits) == GOLDEN_REPLAYS[policy, affinity]
+
+
 def test_replay_sharded_is_deterministic():
-    """Two replays of one trace give bit-identical modelled results."""
+    """Two replays of one trace give equal reports: every field is modelled."""
     trace = generate_trace(3000, seed=33, rate_jobs_per_s=100.0)
     first = replay_sharded(trace, num_shards=4, boards_per_shard=4)
     second = replay_sharded(trace, num_shards=4, boards_per_shard=4)
-    assert first.shard_stats.keys() == second.shard_stats.keys()
-    for shard in first.shard_stats:
-        a, b = first.shard_stats[shard], second.shard_stats[shard]
-        assert a.jobs == b.jobs
-        assert a.makespan_s == b.makespan_s
-        assert a.warm_hits == b.warm_hits
-        assert a.waits == b.waits
+    assert first.to_experiment() == second.to_experiment()
 
 
 def test_traced_replay_emits_every_job_lifecycle_span_once():
@@ -215,5 +243,19 @@ def test_shard_replay_cli_replays_and_rejects_workers():
             "--jobs", "600", "--rate", "20"]
     assert main(args, out=out) == 0
     assert "replayed          : 600 jobs / 3 shards" in out.getvalue()
-    with pytest.raises(SystemExit):
-        main([*args, "--workers", "thread"], out=io.StringIO())
+    for removed in (["--workers", "thread"], ["--autoscale-max", "16"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*args, *removed], out=io.StringIO())
+        assert exit_info.value.code == 2
+
+
+def test_shard_replay_cli_renders_shards_that_received_no_job():
+    """Three jobs cannot reach eight shards: the empty shards still get a
+    row (with a blank p99 wait) and the command succeeds."""
+    out = io.StringIO()
+    assert main(["shard-replay", "--jobs", "3", "--shards", "8"], out=out) == 0
+    table = out.getvalue().split("\n\n")[0].splitlines()[3:]
+    assert [row.split()[0] for row in table] == [str(shard) for shard in range(8)]
+    empty = [row.split() for row in table if row.split()[1] == "0"]
+    assert empty and all(len(cells) == 6 for cells in empty)
+    assert "replayed          : 3 jobs / 8 shards" in out.getvalue()

@@ -231,23 +231,6 @@ def test_fleet_queue_cap_rejects_overflow():
     assert retry.state is JobState.QUEUED
 
 
-def test_tenant_quota_rejects_only_the_hog():
-    service = _service(tenant_quota=1)
-    accel = VectorAddAccelerator(ACCEL_BYTES)
-    hog = service.admit_tenant("hog", accel)
-    polite = service.admit_tenant("polite", accel)
-    first = service.submit_job(hog.session_id, inputs=accel.prepare_inputs(seed=0))
-    second = service.submit_job(hog.session_id, inputs=accel.prepare_inputs(seed=1))
-    other = service.submit_job(polite.session_id, inputs=accel.prepare_inputs(seed=2))
-    assert first.state is JobState.QUEUED
-    assert second.state is JobState.REJECTED
-    assert "quota" in second.error
-    assert other.state is JobState.QUEUED
-    service.run_until_idle()
-    assert first.state is JobState.COMPLETED
-    assert other.state is JobState.COMPLETED
-
-
 def test_scheduler_level_admission_raises():
     scheduler = FleetScheduler(["b0"], queue_cap=1)
     scheduler.submit(AcceleratorJob(job_id="j0", session_id="s", tenant="t"))
@@ -259,8 +242,6 @@ def test_scheduler_level_admission_raises():
     assert scheduler.pending_jobs == 1
     with pytest.raises(SchedulingError):
         FleetScheduler(["b0"], queue_cap=0)
-    with pytest.raises(SchedulingError):
-        FleetScheduler(["b0"], tenant_quota=-1)
 
 
 # ---------------------------------------------------------------------------

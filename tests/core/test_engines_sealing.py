@@ -19,6 +19,7 @@ from repro.core.sealing import (
     chunk_mac_context,
     region_key,
 )
+from repro.crypto.hashes import sha256
 from repro.errors import IntegrityError, ShieldError
 
 DATA_KEY = b"\x2a" * 32
@@ -110,6 +111,30 @@ def test_chunk_iv_uniqueness(region):
     assert len(ivs) == 12
     other = RegionConfig("other", 0, 4096, 512, "es0")
     assert chunk_iv(region, 0, 0) != chunk_iv(other, 0, 0)
+
+
+def test_region_name_is_hashed_once_for_its_iv_seed(engine_config, monkeypatch):
+    """The IV seed depends only on the region name, so repeated seals and
+    unseals of one region -- across sealers and keys -- hash it at most once."""
+    import repro.core.sealing as sealing
+
+    calls = []
+
+    def counting_sha256(data):
+        calls.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(sealing, "sha256", counting_sha256)
+    region = RegionConfig("iv-seed-once", 0x2000, 2048, 512, "es0")
+    for key in (DATA_KEY, b"\x17" * 32):
+        sealer = RegionSealer(key, region, engine_config)
+        for version in range(3):
+            sealed = sealer.seal_chunk(1, b"\x05" * 512, version=version)
+            assert sealer.unseal_chunk(1, sealed.ciphertext, sealed.tag, version=version) == b"\x05" * 512
+            chunks = sealer.seal_region_data(b"r" * 1500)
+            assert sealer.unseal_region_data(chunks, length=1500) == b"r" * 1500
+    assert chunk_iv(region, 3, 2) == sha256(b"iv-seed-once")[:4] + bytes([0, 0, 0, 3, 0, 0, 0, 2])
+    assert len(calls) <= 1
 
 
 def test_chunk_mac_context_binds_address_and_version(region):
