@@ -26,15 +26,18 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.errors import SchedulingError
 
 
-@dataclass(frozen=True, slots=True)
-class JobRequest:
-    """A policy's view of one queued job (no bytes, no Shield, no board)."""
+class JobRequest(NamedTuple):
+    """A policy's view of one queued job (no bytes, no Shield, no board).
+
+    A named tuple: immutable, and cheap enough to build positionally once per
+    replayed job.  Queues never compare two requests as tuples -- every heap
+    key ends in the unique ``seq``.
+    """
 
     key: str
     tenant: str
@@ -57,7 +60,7 @@ class SchedulingPolicy:
     ``push`` indexes one arrival and ``pop`` removes and returns the policy's
     pick.  ``payload`` is whatever the consumer wants back alongside the
     :class:`JobRequest` (the functional scheduler stores the
-    ``AcceleratorJob``, the simulator its ``TraceEvent``); ``pop``'s optional
+    ``AcceleratorJob``, the simulator the job's trace row); ``pop``'s optional
     ``eligible`` predicate is called with the payload and skips jobs without
     disturbing their relative order.  ``remove`` supports cancellation by
     predicate.  Each policy keeps ``_len``, the number of queued jobs.

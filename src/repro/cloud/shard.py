@@ -9,6 +9,9 @@ This module splits a trace across several such fleets:
   shard-local property (a session's warm boards are always inside the shard
   that serves it).  Virtual nodes keep the key space balanced (the property
   tests pin the balance down).
+* :func:`partition_trace` -- route each session of a columnar
+  :class:`~repro.sim.cloud.Trace`'s table once, then split the rows by
+  index into one ``Trace`` per shard (rows keep their relative order).
 * :func:`replay_sharded` -- the multi-fleet replay driver: partition a trace
   by routed session, replay every shard in turn on its own fixed-size
   :class:`~repro.sim.cloud.CloudSimulator`, and merge the per-shard
@@ -16,6 +19,9 @@ This module splits a trace across several such fleets:
   :class:`ShardReplayReport` with *global* tail percentiles.  The report
   holds modelled numbers only, so replaying one trace twice gives equal
   reports; callers that want the host cost time the call themselves.
+
+Shards are listed in natural order (``2`` before ``10``), by
+:class:`ShardRouter` and by the report alike.
 
 The driver is how the scheduling core gets validated at 10^5-10^6-job scale
 where the functional byte-moving service is too expensive to run; see
@@ -26,11 +32,15 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import re
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from repro.analysis.annotations import loop_owned
 from repro.errors import ShardingError
-from repro.obs.stats import percentile
+from repro.obs.stats import sorted_percentile
 from repro.sim.results import ExperimentResult
 
 __all__ = [
@@ -60,6 +70,15 @@ def _ring_hash(token: str) -> int:
     )
 
 
+def _natural_order(shard_id) -> tuple:
+    """Sort key listing shard ids naturally: ``2`` before ``10``, for ints and
+    for names with numbers in them alike (``shard-2`` before ``shard-10``).
+    The plain string breaks ties such as ``01`` and ``1``."""
+    text = str(shard_id)
+    parts = re.split(r"(\d+)", text)
+    return [int(part) if index % 2 else part for index, part in enumerate(parts)], text
+
+
 class ShardRouter:
     """Consistent-hash ring with virtual nodes over a fixed set of shards.
 
@@ -75,7 +94,7 @@ class ShardRouter:
         shard_ids = list(shard_ids)
         if not shard_ids:
             raise ShardingError("a shard router needs at least one shard")
-        self._shards = sorted(set(shard_ids), key=str)
+        self._shards = sorted(set(shard_ids), key=_natural_order)
         ring = sorted(
             (_ring_hash(f"{shard_id}#{i}"), shard_id)
             for shard_id in self._shards
@@ -99,25 +118,32 @@ class ShardRouter:
 
     @property
     def shards(self) -> list:
-        """Every shard on the ring, in sorted order."""
+        """Every shard on the ring, in natural order."""
         return list(self._shards)
 
 
 # -- multi-shard replay driver --------------------------------------------------
 
 
-def partition_trace(trace: list, router: ShardRouter) -> dict:
-    """Split a trace into per-shard traces by routed session.
+def partition_trace(trace, router: ShardRouter) -> dict:
+    """Split a :class:`~repro.sim.cloud.Trace` into one ``Trace`` per shard.
 
-    Events keep their relative order inside each shard (arrival order is
-    re-derived by the simulator anyway), and every event of a session lands
-    on the same shard.
+    Each session of the trace's session table is routed once, not once per
+    job, and each shard takes its rows by index, so rows keep their relative
+    order inside a shard (arrival order is re-derived by the simulator
+    anyway) and every job of a session lands on the same shard.
     """
-    shard_traces: dict = {shard: [] for shard in router.shards}
+    shards = router.shards
+    position = {shard: index for index, shard in enumerate(shards)}
     route = router.route
-    for event in trace:
-        shard_traces[route(event.session_id or event.tenant)].append(event)
-    return shard_traces
+    session_shard = np.array(
+        [position[route(session)] for session in trace.sessions], dtype=np.intp
+    )
+    job_shard = session_shard[trace.session]
+    return {
+        shard: trace[np.flatnonzero(job_shard == index)]
+        for index, shard in enumerate(shards)
+    }
 
 
 def _round_wait(seconds):
@@ -131,8 +157,9 @@ class ShardReplayReport:
 
     Per-shard :class:`~repro.sim.cloud.ReplayStats` plus the global view:
     tail percentiles are computed over the *concatenated* per-job waits (a
-    per-shard percentile average would understate the global tail).  Every
-    field is modelled, so two replays of one trace compare equal.
+    per-shard percentile average would understate the global tail), merged
+    and sorted once, on the first percentile asked for.  Every field is
+    modelled, so two replays of one trace compare equal.
     """
 
     shard_stats: dict
@@ -142,7 +169,7 @@ class ShardReplayReport:
 
     @property
     def shards(self) -> list:
-        return sorted(self.shard_stats, key=str)
+        return sorted(self.shard_stats, key=_natural_order)
 
     @property
     def jobs(self) -> int:
@@ -164,12 +191,17 @@ class ShardReplayReport:
             return 0.0
         return max(stats.makespan_s for stats in self.shard_stats.values())
 
-    def wait_percentile(self, q: float) -> float | None:
-        """Global wait percentile over every shard's per-job waits; ``None`` without jobs."""
+    @cached_property
+    def _sorted_waits(self) -> list:
         merged: list = []
         for stats in self.shard_stats.values():
             merged.extend(stats.waits)
-        return percentile(merged, q)
+        merged.sort()
+        return merged
+
+    def wait_percentile(self, q: float) -> float | None:
+        """Global wait percentile over every shard's per-job waits; ``None`` without jobs."""
+        return sorted_percentile(self._sorted_waits, q)
 
     @property
     def utilization_by_shard(self) -> dict:
@@ -212,13 +244,14 @@ class ShardReplayReport:
 
 
 def replay_sharded(
-    trace: list,
+    trace,
     num_shards: int = 8,
     boards_per_shard: int = 4,
     policy="fifo",
     affinity: bool = True,
 ) -> ShardReplayReport:
-    """Replay a trace across N shard fleets, one shard after another.
+    """Replay a :class:`~repro.sim.cloud.Trace` across N shard fleets, one
+    shard after another.
 
     Sessions are routed by a fresh :class:`ShardRouter` over shards
     ``0..num_shards-1``, and every shard replays on its own
@@ -233,14 +266,14 @@ def replay_sharded(
 
     shard_traces = partition_trace(trace, ShardRouter(range(num_shards)))
     shard_stats: dict = {}
-    for shard, events in shard_traces.items():
+    for shard, shard_trace in shard_traces.items():
         simulator = CloudSimulator(
             num_boards=boards_per_shard, policy=policy, affinity=affinity
         )
-        shard_stats[shard] = simulator.replay_stats(events)
+        shard_stats[shard] = simulator.replay_stats(shard_trace)
     return ShardReplayReport(
         shard_stats=shard_stats,
-        shard_jobs={shard: len(events) for shard, events in shard_traces.items()},
+        shard_jobs={shard: len(rows) for shard, rows in shard_traces.items()},
         boards_per_shard=boards_per_shard,
         policy=str(policy),
     )

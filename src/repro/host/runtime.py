@@ -66,19 +66,29 @@ class ShefHostRuntime:
     # -- bulk data movement -----------------------------------------------------------------
 
     def upload_region(self, staged: StagedRegionData) -> None:
-        """DMA sealed input data (ciphertext + per-chunk tags) into device memory."""
+        """DMA sealed input data (ciphertext + per-chunk tags) into device memory.
+
+        Tags of consecutive chunks sit side by side in the tag area, so each
+        run of consecutive chunk indices moves its tags in one transfer; a
+        whole-region upload is one ciphertext and one tag-block transfer.
+        """
         region = staged.region
         ciphertext = staged.flat_ciphertext()
         self.shell.host_dma_write(region.base_address, ciphertext)
         self.log.dma_writes += 1
         self.log.bytes_uploaded += len(ciphertext)
-        for index, tag in enumerate(staged.tags()):
-            chunk_index = staged.sealed_chunks[index].chunk_index
+        chunks = staged.sealed_chunks
+        start = 0
+        for end in range(1, len(chunks) + 1):
+            if end < len(chunks) and chunks[end].chunk_index == chunks[end - 1].chunk_index + 1:
+                continue
+            block = b"".join(chunk.tag for chunk in chunks[start:end])
             self.shell.host_dma_write(
-                self.shield_config.tag_address(region, chunk_index), tag
+                self.shield_config.tag_address(region, chunks[start].chunk_index), block
             )
             self.log.dma_writes += 1
-            self.log.bytes_uploaded += len(tag)
+            self.log.bytes_uploaded += len(block)
+            start = end
         self.log.observed_blobs.append(("region_upload", region.name, len(ciphertext)))
 
     def download_region(self, region_name: str, num_chunks: int, offset_chunks: int = 0) -> tuple:
@@ -91,14 +101,15 @@ class ShefHostRuntime:
         start = region.base_address + offset_chunks * region.chunk_size
         length = num_chunks * region.chunk_size
         ciphertext = self.shell.host_dma_read(start, length)
+        tag_block = self.shell.host_dma_read(
+            self.shield_config.tag_address(region, offset_chunks), num_chunks * MAC_TAG_BYTES
+        )
         tags = [
-            self.shell.host_dma_read(
-                self.shield_config.tag_address(region, offset_chunks + index), MAC_TAG_BYTES
-            )
-            for index in range(num_chunks)
+            tag_block[offset : offset + MAC_TAG_BYTES]
+            for offset in range(0, len(tag_block), MAC_TAG_BYTES)
         ]
-        self.log.dma_reads += 1 + num_chunks
-        self.log.bytes_downloaded += length + num_chunks * MAC_TAG_BYTES
+        self.log.dma_reads += 2
+        self.log.bytes_downloaded += length + len(tag_block)
         return ciphertext, tags
 
     # -- register channel ------------------------------------------------------------------------

@@ -26,9 +26,16 @@ def percentile(values, q: float):
     Linear interpolation between closest ranks on the sorted series; the
     input need not be sorted and is never mutated.
     """
+    return sorted_percentile(sorted(values), q)
+
+
+def sorted_percentile(data, q: float):
+    """:func:`percentile` of a series that is already in ascending order.
+
+    For callers that sort once and ask for several percentiles.
+    """
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile q must be in [0, 100], got {q!r}")
-    data = sorted(values)
     if not data:
         return None
     if len(data) == 1:
@@ -51,7 +58,7 @@ def percentiles(values, qs=SUMMARY_QUANTILES) -> dict:
     out = {}
     for q in qs:
         key = f"p{q:g}".replace(".", "_")
-        out[key] = percentile(data, q) if data else None
+        out[key] = sorted_percentile(data, q) if data else None
     return out
 
 

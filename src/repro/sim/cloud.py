@@ -2,9 +2,12 @@
 
 The functional :class:`~repro.cloud.service.ShieldCloudService` moves real
 bytes; this module answers the capacity-planning questions -- how does a
-board fleet behave under heavy mixed-tenant traffic?  A trace is a list of
-:class:`TraceEvent` arrivals (tenant, workload profile, Shield config); the
-:class:`CloudSimulator` replays it against an N-board fleet with the **same
+board fleet behave under heavy mixed-tenant traffic?  A trace is a
+columnar :class:`Trace` -- one row per job arrival (arrival time, tenant,
+session, workload, priority, weight), names and ``(profile, shield_config)``
+pairs held once in small tables -- and a hand-written list of
+:class:`TraceEvent` objects converts to one (:meth:`Trace.from_events`).  The
+:class:`CloudSimulator` replays a trace against an N-board fleet with the **same
 scheduling core the functional service uses** -- the policy zoo and
 warm-affinity placement rule of :mod:`repro.cloud.policies` -- pricing each
 job's service time with :class:`~repro.core.timing.TimingModel` plus a fixed
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+
+import numpy as np
 
 import repro.obs as obs_api
 from repro.analysis.annotations import hot_path
@@ -62,6 +67,84 @@ class TraceEvent:
     @property
     def session(self) -> str:
         return self.session_id or self.tenant
+
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A replay trace in columns: one row per job arrival.
+
+    ``arrival`` (float64 seconds), ``tenant``, ``session`` and ``profile``
+    (int32 indices into the ``tenants``, ``sessions`` and ``profiles``
+    tables), ``priority`` (int32) and ``weight`` (float64) hold one entry per
+    job, so a row costs 32 bytes where a :class:`TraceEvent` object costs
+    ~170.  ``profiles`` holds ``(profile, shield_config)`` pairs, priced once
+    per replay.  ``trace[rows]`` (an index array or a slice) takes a subset
+    of rows in the given order, sharing the tables; a single index gives one
+    job's column values.
+    """
+
+    arrival: np.ndarray
+    tenant: np.ndarray
+    session: np.ndarray
+    profile: np.ndarray
+    priority: np.ndarray
+    weight: np.ndarray
+    tenants: tuple
+    sessions: tuple
+    profiles: tuple
+
+    def __len__(self) -> int:
+        return len(self.arrival)
+
+    def __getitem__(self, rows) -> "Trace":
+        return Trace(
+            self.arrival[rows],
+            self.tenant[rows],
+            self.session[rows],
+            self.profile[rows],
+            self.priority[rows],
+            self.weight[rows],
+            self.tenants,
+            self.sessions,
+            self.profiles,
+        )
+
+    @classmethod
+    def from_events(cls, events) -> "Trace":
+        """Convert a hand-written :class:`TraceEvent` list, row for row.
+
+        Names are tabled in first-seen order; a job's session is
+        ``event.session`` (its tenant when it names none), and
+        ``(profile, shield_config)`` pairs are told apart by object identity.
+        """
+        events = list(events)
+        tenants: dict = {}
+        sessions: dict = {}
+        pairs: dict = {}
+        tenant, session, profile = [], [], []
+        for event in events:
+            tenant.append(tenants.setdefault(event.tenant, len(tenants)))
+            session.append(sessions.setdefault(event.session, len(sessions)))
+            key = (id(event.profile), id(event.shield_config))
+            if key not in pairs:
+                pairs[key] = (len(pairs), (event.profile, event.shield_config))
+            profile.append(pairs[key][0])
+        return cls(
+            arrival=np.array([event.arrival_s for event in events], dtype=np.float64),
+            tenant=np.array(tenant, dtype=np.int32),
+            session=np.array(session, dtype=np.int32),
+            profile=np.array(profile, dtype=np.int32),
+            priority=np.array([event.priority for event in events], dtype=np.int32),
+            weight=np.array([event.weight for event in events], dtype=np.float64),
+            tenants=tuple(tenants),
+            sessions=tuple(sessions),
+            profiles=tuple(pair for _, pair in pairs.values()),
+        )
+
+
+def _as_trace(trace) -> Trace:
+    """``trace`` itself, or a :class:`Trace` of a :class:`TraceEvent` list."""
+    return trace if isinstance(trace, Trace) else Trace.from_events(trace)
 
 
 @dataclass(frozen=True)
@@ -169,7 +252,10 @@ class CloudSimulator:
 
     def execution_seconds(self, event: TraceEvent) -> float:
         """Modelled shielded-execution time of one job (no load cost)."""
-        cycles = self.model.shielded(event.profile, event.shield_config).total_cycles
+        return self._execution_seconds(event.profile, event.shield_config)
+
+    def _execution_seconds(self, profile: WorkloadProfile, config: ShieldConfig) -> float:
+        cycles = self.model.shielded(profile, config).total_cycles
         return cycles / self.clock_hz
 
     def service_seconds(self, event: TraceEvent, warm: bool = False) -> float:
@@ -179,9 +265,10 @@ class CloudSimulator:
 
     # -- replay -------------------------------------------------------------------
 
-    def replay(self, trace: list) -> list:
+    def replay(self, trace) -> list:
         """Replay the trace through the shared policy + affinity placement core.
 
+        ``trace`` is a :class:`Trace` or a :class:`TraceEvent` list.
         Event-driven: arrivals join the policy's queue at their arrival time;
         whenever a board is free and the queue is non-empty, the policy picks
         the next job in O(log n) and the incremental
@@ -193,55 +280,89 @@ class CloudSimulator:
         fleet wherever time permits a comparison.  The fleet keeps its
         ``num_boards`` boards for the whole replay.
         """
+        trace = _as_trace(trace)
         rows: list = []
         self._replay(trace, rows)
+        arrival = trace.arrival.tolist()
+        tenant = trace.tenant.tolist()
+        profile = trace.profile.tolist()
+        workloads = [pair[0].name for pair in trace.profiles]
         return [
             CloudJobRecord(
-                tenant=event.tenant,
-                workload=event.profile.name,
+                tenant=trace.tenants[tenant[row]],
+                workload=workloads[profile[row]],
                 board=board,
-                arrival_s=event.arrival_s,
+                arrival_s=arrival[row],
                 start_s=start,
                 finish_s=finish,
                 warm=warm,
                 load_s=load,
             )
-            for event, board, start, finish, warm, load in rows
+            for row, board, start, finish, warm, load in rows
         ]
 
-    def replay_stats(self, trace: list) -> "ReplayStats":
+    def replay_stats(self, trace) -> "ReplayStats":
         """Replay without materializing per-job records: aggregates only.
 
         The shard-scale driver replays 10^5-10^6-job traces where building a
         :class:`CloudJobRecord` per job dominates the runtime; this path
         accumulates waits, per-board busy time and warm hits inline and
-        returns one :class:`ReplayStats`.
+        returns one :class:`ReplayStats`.  ``trace`` is a :class:`Trace` or
+        a :class:`TraceEvent` list.
         """
-        return self._replay(trace, None)
+        return self._replay(_as_trace(trace), None)
+
+    def _arrival_columns(self, trace: Trace) -> tuple:
+        """The trace's columns as Python lists, in arrival order.
+
+        Returns ``(order, arrival, tenant, session, priority, weight,
+        cost)``: ``order`` maps each position back to its trace row, names
+        replace table indices, and ``cost`` is the modelled execution time of
+        the job's profile, priced once per profile-table entry.  Arrival
+        order is a stable sort, so ties keep trace order.  Lists, because the
+        dispatch loop reads one element at a time, which is slow on numpy
+        arrays.
+        """
+        order = np.argsort(trace.arrival, kind="stable")
+        prices = np.array(
+            [self._execution_seconds(*pair) for pair in trace.profiles], dtype=np.float64
+        )
+        return (
+            order.tolist(),
+            trace.arrival[order].tolist(),
+            np.array(trace.tenants, dtype=object)[trace.tenant[order]].tolist(),
+            np.array(trace.sessions, dtype=object)[trace.session[order]].tolist(),
+            trace.priority[order].tolist(),
+            trace.weight[order].tolist(),
+            prices[trace.profile[order]].tolist(),
+        )
 
     @hot_path
-    def _replay(self, trace: list, rows) -> "ReplayStats":
+    def _replay(self, trace: Trace, rows) -> "ReplayStats":
         """The dispatch loop shared by :meth:`replay` and :meth:`replay_stats`.
 
-        When ``rows`` is a list, one raw ``(event, board, start, finish,
-        warm, load)`` tuple is appended per job; aggregates are accumulated
-        either way.  Tracing costs nothing when the tracer is disabled: the
-        enabled check is hoisted out of the loop and the untraced path does
-        no per-job observability work at all.  The fleet size is fixed, so
-        two counters (queued jobs, free boards) decide when to dispatch.
+        When ``rows`` is a list, one raw ``(row, board, start, finish, warm,
+        load)`` tuple is appended per job, ``row`` being the job's index in
+        ``trace``; aggregates are accumulated either way.  The loop reads the
+        lists of :meth:`_arrival_columns` and queues each job's row index.
+        Tracing costs nothing when the tracer is disabled: the enabled check
+        is hoisted out of the loop and the untraced path does no per-job
+        observability work at all.  The fleet size is fixed, so two counters
+        (queued jobs, free boards) decide when to dispatch.
         """
         policy = make_policy(self.policy)
+        push, pop = policy.push, policy.pop
         tracer = self.obs.tracer
         traced = tracer.enabled
         affinity = self.affinity
         load_cost = self.shield_load_seconds
-        # seq is the *arrival-order* position (ties broken by trace index), so
-        # FIFO -- and every policy's tie-break -- is first-come-first-served
-        # even when the caller's trace list is not sorted by arrival.
-        order = sorted(range(len(trace)), key=lambda i: (trace[i].arrival_s, i))
-        events = [trace[i] for i in order]
-        arrival_times = [event.arrival_s for event in events]
-        num_events = len(events)
+        # seq is the *arrival-order* position: FIFO -- and every policy's
+        # tie-break -- is first-come-first-served even when the trace is not
+        # sorted by arrival.
+        order, arrivals, tenants, sessions, priorities, weights, costs = (
+            self._arrival_columns(trace)
+        )
+        num_events = len(arrivals)
         next_arrival = 0
         resident: dict = {}
         boards = BoardIndex(range(self.num_boards), resident=resident)
@@ -249,50 +370,42 @@ class CloudSimulator:
         queued = 0
         busy: list = []  # (finish_s, board) min-heap
         admitted: set = set()
-        # The modelled service time of a profile/config pair never changes
-        # mid-replay; generated traces draw events from a small workload
-        # pool, so pricing is one TimingModel evaluation per distinct pair.
-        cost_cache: dict = {}
         # Aggregates (always accumulated -- they are three ops per job).
         waits: list = []
         board_busy: dict = {}
         warm_hits = 0
         now = 0.0
         while True:
-            while next_arrival < num_events and arrival_times[next_arrival] <= now:
-                event = events[next_arrival]
-                session = event.session_id or event.tenant
+            while next_arrival < num_events and arrivals[next_arrival] <= now:
+                session = sessions[next_arrival]
                 if traced and session not in admitted:
                     # First arrival of a session stands in for tenant
                     # admission (the functional service admits before any job
                     # is submitted, so modelled admission is instantaneous).
                     admitted.add(session)
                     tracer.record_span(
-                        "admit", event.arrival_s, 0.0,
-                        tenant=event.tenant, session=session,
+                        "admit", arrivals[next_arrival], 0.0,
+                        tenant=tenants[next_arrival], session=session,
                     )
-                cost_key = (id(event.profile), id(event.shield_config))
-                cost = cost_cache.get(cost_key)
-                if cost is None:
-                    cost_cache[cost_key] = cost = self.execution_seconds(event)
-                policy.push(
+                row = order[next_arrival]
+                push(
                     JobRequest(
-                        key=f"trace-{order[next_arrival]}",
-                        tenant=event.tenant,
-                        session_id=session,
-                        seq=next_arrival,
-                        priority=event.priority,
-                        weight=event.weight,
-                        cost_estimate=cost,
+                        f"trace-{row}",
+                        tenants[next_arrival],
+                        session,
+                        next_arrival,
+                        priorities[next_arrival],
+                        weights[next_arrival],
+                        costs[next_arrival],
                     ),
-                    event,
+                    row,
                 )
                 queued += 1
                 next_arrival += 1
             while queued and free_boards:
                 queued -= 1
                 free_boards -= 1
-                request, event = policy.pop()
+                request, row = pop()
                 session = request.session_id
                 board = boards.place(session, affinity)
                 warm = affinity and resident[board] == session
@@ -300,20 +413,21 @@ class CloudSimulator:
                 finish = now + load + request.cost_estimate
                 heapq.heappush(busy, (finish, board))
                 resident[board] = session if affinity else None
+                arrival = arrivals[request.seq]
                 if traced:
                     self._emit_job_events(
-                        tracer, request, event, board, now, load, finish, warm
+                        tracer, request, arrival, board, now, load, finish, warm
                     )
                 if warm:
                     warm_hits += 1
-                waits.append(now - event.arrival_s)
+                waits.append(now - arrival)
                 board_busy[board] = board_busy.get(board, 0.0) + (finish - now)
                 if rows is not None:
-                    rows.append((event, board, now, finish, warm, load))
+                    rows.append((row, board, now, finish, warm, load))
             # Nothing placeable: advance time to the next arrival or finish,
             # releasing boards in deterministic (finish, board-index) order.
             if next_arrival < num_events:
-                frontier = arrival_times[next_arrival]
+                frontier = arrivals[next_arrival]
                 if busy and busy[0][0] < frontier:
                     frontier = busy[0][0]
             elif busy:
@@ -334,7 +448,7 @@ class CloudSimulator:
         )
 
     def _emit_job_events(
-        self, tracer, request, event, board, start, load, finish, warm
+        self, tracer, request, arrival, board, start, load, finish, warm
     ) -> None:
         """Publish one placed job's lifecycle with modelled timestamps.
 
@@ -344,9 +458,9 @@ class CloudSimulator:
         ``input_seal``, ``download``, ``output_unseal``) are emitted with
         zero duration so the stream still covers every lifecycle stage.
         """
-        t, s, j = event.tenant, event.session, request.key
+        t, s, j = request.tenant, request.session_id, request.key
         b = f"board-{board}"
-        arrival, loaded = event.arrival_s, start + load
+        loaded = start + load
         execute_s = finish - start - load
         # Events are built positionally in one batched append rather than
         # through tracer.record_span: eight spans per job on the replay hot
@@ -367,17 +481,25 @@ class CloudSimulator:
         ])
 
     def replay_experiment(
-        self, trace: list, experiment_id: str = "cloud-trace"
+        self, trace, experiment_id: str = "cloud-trace"
     ) -> ExperimentResult:
-        """Replay and package the outcome as a renderable/exportable experiment."""
+        """Replay and package the outcome as a renderable/exportable experiment.
+
+        ``trace`` is a :class:`Trace` or a :class:`TraceEvent` list.
+        """
+        trace = _as_trace(trace)
         rows: list = []
         stats = self._replay(trace, rows)
         if not stats.jobs:
             raise SimulationError("cannot replay an empty trace")
+        arrival = trace.arrival.tolist()
+        tenant = [trace.tenants[index] for index in trace.tenant.tolist()]
+        profile = trace.profile.tolist()
+        workloads = [pair[0].name for pair in trace.profiles]
         busy = sum(stats.board_busy_s.values())
         tenant_fairness = {}
-        for event, _, start, finish, _, _ in rows:
-            entry = tenant_fairness.setdefault(event.tenant, {"jobs": 0, "busy_s": 0.0})
+        for row, _, start, finish, _, _ in rows:
+            entry = tenant_fairness.setdefault(tenant[row], {"jobs": 0, "busy_s": 0.0})
             entry["jobs"] += 1
             entry["busy_s"] += finish - start
         for entry in tenant_fairness.values():
@@ -405,17 +527,17 @@ class CloudSimulator:
                 "tenant_fairness": tenant_fairness,
             },
         )
-        for event, board, start, finish, warm, load in rows:
+        for row, board, start, finish, warm, load in rows:
             result.add_row(
-                tenant=event.tenant,
-                workload=event.profile.name,
+                tenant=tenant[row],
+                workload=workloads[profile[row]],
                 board=board,
                 warm=warm,
-                arrival_s=round(event.arrival_s, 3),
-                wait_s=round(start - event.arrival_s, 3),
+                arrival_s=round(arrival[row], 3),
+                wait_s=round(start - arrival[row], 3),
                 load_s=round(load, 3),
                 service_s=round(finish - start, 3),
-                turnaround_s=round(finish - event.arrival_s, 3),
+                turnaround_s=round(finish - arrival[row], 3),
             )
         return result
 
@@ -424,9 +546,8 @@ def default_profile_pool() -> list:
     """``(profile, shield_config)`` pairs from the three paper accelerators.
 
     Imported lazily (accelerators pull in the crypto stack) and built once
-    per call; reusing the returned pool across traces maximizes the
-    simulator's pricing-cache hit rate, since the cache keys on object
-    identity.
+    per call.  A generated trace's profile table is the pool itself, so a
+    replay prices each pair once.
     """
     from repro.accelerators import (
         AffineTransformAccelerator,

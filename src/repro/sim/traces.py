@@ -15,10 +15,12 @@ cloud schedulers actually face:
 * **Session structure** -- each tenant cycles over a small pool of sessions,
   so repeated-session arrivals exist for the affinity machinery to exploit
   (and the shard router keeps each session's stream on one shard).
-* **A small workload pool** -- events draw profiles/configs from the three
-  paper accelerators, so the simulator's per-``(profile, config)`` pricing
-  cache works at scale exactly as it does in the small traces.
+* **A small workload pool** -- jobs draw profiles/configs from the three
+  paper accelerators, so a replay prices a handful of pairs, not every job.
 
+The result is a columnar :class:`~repro.sim.cloud.Trace`: 32 bytes per job
+in six numpy columns, with the tenant names, the ``num_tenants *
+sessions_per_tenant`` session names and the profile pool as its tables.
 Everything is driven by one :class:`random.Random` seed: the same seed
 yields byte-identical traces on every platform, so benchmark gates and
 property tests replay deterministically.
@@ -30,8 +32,10 @@ import bisect
 import math
 import random
 
+import numpy as np
+
 from repro.errors import SimulationError
-from repro.sim.cloud import TraceEvent, default_profile_pool
+from repro.sim.cloud import Trace, default_profile_pool
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -72,8 +76,8 @@ def generate_trace(
     diurnal_amplitude: float = 0.8,
     priority_levels: int = 10,
     profile_pool: list | None = None,
-) -> list:
-    """Generate a ``num_jobs``-event :class:`~repro.sim.cloud.TraceEvent` list.
+) -> Trace:
+    """Generate a ``num_jobs``-job columnar :class:`~repro.sim.cloud.Trace`.
 
     ``rate_jobs_per_s`` is the *mean* arrival rate for every process;
     ``zipf_s`` shapes tenant popularity (higher = more skew);
@@ -82,7 +86,8 @@ def generate_trace(
     fair-share weights cycle over 1/2/4 by tenant rank, so the priority and
     weighted-fair policies see real differentiation (a trace where every job
     is identical cannot distinguish policies -- the bug the seed's
-    ``BENCH_sched.json`` policy table had).
+    ``BENCH_sched.json`` policy table had).  Session ``k`` of tenant ``t``
+    is row ``t * sessions_per_tenant + k`` of the session table.
     """
     if num_jobs < 1:
         raise SimulationError("a generated trace needs at least one job")
@@ -95,21 +100,22 @@ def generate_trace(
     if not 0 <= diurnal_amplitude < 1:
         raise SimulationError("diurnal_amplitude must be in [0, 1)")
     rng = random.Random(seed)
-    pool = profile_pool if profile_pool is not None else default_profile_pool()
-    tenants = [f"tenant-{index:04d}" for index in range(num_tenants)]
-    sessions = [
-        [f"{tenant}-s{index}" for index in range(sessions_per_tenant)]
-        for tenant in tenants
-    ]
-    weights = [float(2 ** (index % 3)) for index in range(num_tenants)]
+    pool = tuple(profile_pool if profile_pool is not None else default_profile_pool())
+    tenants = tuple(f"tenant-{index:04d}" for index in range(num_tenants))
+    sessions = tuple(
+        f"{tenant}-s{index}" for tenant in tenants for index in range(sessions_per_tenant)
+    )
+    weights = np.array([float(2 ** (index % 3)) for index in range(num_tenants)])
     zipf = _zipf_cumulative(num_tenants, zipf_s)
     zipf_total = zipf[-1]
     # Mean inter-arrival of the Pareto renewal process is scale * a/(a-1);
     # solve for scale so the heavy-tailed trace matches the Poisson mean rate.
     pareto_scale = (PARETO_ALPHA - 1.0) / (PARETO_ALPHA * rate_jobs_per_s)
     two_pi_over_period = 2.0 * math.pi / DIURNAL_PERIOD_S
+    randrange = rng.randrange
+    num_profiles = len(pool)
     now = 0.0
-    trace = []
+    arrivals, tenant, session, profile, priority = [], [], [], [], []
     for _ in range(num_jobs):
         if arrival == "poisson":
             now += rng.expovariate(rate_jobs_per_s)
@@ -123,16 +129,22 @@ def generate_trace(
         else:  # heavy_tailed
             now += pareto_scale * rng.paretovariate(PARETO_ALPHA)
         tenant_index = bisect.bisect_left(zipf, rng.random() * zipf_total)
-        profile, config = pool[rng.randrange(len(pool))]
-        trace.append(
-            TraceEvent(
-                arrival_s=now,
-                tenant=tenants[tenant_index],
-                profile=profile,
-                shield_config=config,
-                session_id=sessions[tenant_index][rng.randrange(sessions_per_tenant)],
-                priority=rng.randrange(priority_levels),
-                weight=weights[tenant_index],
-            )
-        )
-    return trace
+        # The draws keep their historical order -- profile, session,
+        # priority -- so a seed gives the same jobs it always gave.
+        arrivals.append(now)
+        tenant.append(tenant_index)
+        profile.append(randrange(num_profiles))
+        session.append(tenant_index * sessions_per_tenant + randrange(sessions_per_tenant))
+        priority.append(randrange(priority_levels))
+    tenant_column = np.array(tenant, dtype=np.int32)
+    return Trace(
+        arrival=np.array(arrivals, dtype=np.float64),
+        tenant=tenant_column,
+        session=np.array(session, dtype=np.int32),
+        profile=np.array(profile, dtype=np.int32),
+        priority=np.array(priority, dtype=np.int32),
+        weight=weights[tenant_column],
+        tenants=tenants,
+        sessions=sessions,
+        profiles=pool,
+    )

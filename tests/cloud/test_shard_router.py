@@ -16,9 +16,16 @@ import pytest
 
 import repro.obs as obs_api
 from repro.cli import main
-from repro.cloud.shard import ShardRouter, partition_trace, replay_sharded
+from repro.cloud.shard import (
+    ShardReplayReport,
+    ShardRouter,
+    partition_trace,
+    replay_sharded,
+)
 from repro.errors import ShardingError
 from repro.obs import JOB_STAGES
+from repro.obs.stats import percentile
+from repro.sim.cloud import ReplayStats
 from repro.sim.traces import generate_trace
 
 NUM_SESSIONS = 8000
@@ -80,6 +87,14 @@ def test_route_matches_golden_placements():
     assert {session: router.route(session) for session in GOLDEN_ROUTES} == GOLDEN_ROUTES
 
 
+def test_shards_are_listed_in_natural_order():
+    assert ShardRouter(range(12)).shards == list(range(12))
+    names = [f"shard-{index}" for index in (10, 2, 0, 11, 1)]
+    assert ShardRouter(names).shards == [
+        "shard-0", "shard-1", "shard-2", "shard-10", "shard-11",
+    ]
+
+
 def test_empty_router_raises():
     with pytest.raises(ShardingError):
         ShardRouter([])
@@ -94,12 +109,12 @@ def test_partition_preserves_jobs_and_session_locality():
     trace = generate_trace(5000, seed=9)
     router = ShardRouter(range(8))
     shard_traces = partition_trace(trace, router)
-    assert sum(len(events) for events in shard_traces.values()) == len(trace)
-    # Session locality: every event of a session lands on one shard.
+    assert sum(len(rows) for rows in shard_traces.values()) == len(trace)
+    # Session locality: every job of a session lands on one shard.
     seen: dict = {}
-    for shard, events in shard_traces.items():
-        for event in events:
-            assert seen.setdefault(event.session, shard) == shard
+    for shard, rows in shard_traces.items():
+        for session in rows.session.tolist():
+            assert seen.setdefault(trace.sessions[session], shard) == shard
 
 
 def test_replay_sharded_merges_shard_stats():
@@ -119,6 +134,41 @@ def test_replay_sharded_merges_shard_stats():
     experiment = report.to_experiment()
     assert experiment.metadata["jobs"] == len(trace)
     assert len(experiment.rows) == 8
+
+
+class _CountingWaits(list):
+    """A shard's wait list that counts how often it is read."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_report_merges_and_sorts_the_waits_once():
+    trace = generate_trace(3000, seed=33, rate_jobs_per_s=100.0)
+    report = replay_sharded(trace, num_shards=4, boards_per_shard=4)
+    waits: list = []
+    for stats in report.shard_stats.values():
+        waits.extend(stats.waits)
+        stats.waits = _CountingWaits(stats.waits)
+    for q in (0.0, 50.0, 99.0, 99.9, 100.0):
+        assert report.wait_percentile(q) == percentile(waits, q)
+    report.wait_percentile(50.0)
+    # Six percentiles (as many as ``shard-replay`` asks for), one merge.
+    assert [stats.waits.reads for stats in report.shard_stats.values()] == [1, 1, 1, 1]
+
+
+def test_report_without_jobs_has_no_wait_percentile():
+    idle = {shard: ReplayStats(jobs=0, makespan_s=0.0, boards=2) for shard in range(2)}
+    report = ShardReplayReport(
+        shard_stats=idle, shard_jobs=dict.fromkeys(idle, 0), boards_per_shard=2, policy="fifo"
+    )
+    assert report.wait_percentile(99.0) is None
+    assert report.to_experiment().metadata["wait_p99_s"] == ""
 
 
 #: ``(policy, affinity)`` -> per-shard ``(jobs, warm_hits, makespan_s,
@@ -259,3 +309,13 @@ def test_shard_replay_cli_renders_shards_that_received_no_job():
     empty = [row.split() for row in table if row.split()[1] == "0"]
     assert empty and all(len(cells) == 6 for cells in empty)
     assert "replayed          : 3 jobs / 8 shards" in out.getvalue()
+
+
+def test_shard_replay_cli_lists_shards_in_numeric_order():
+    """Past ten shards the rows still run 0, 1, 2, ... (not 0, 1, 10, 11, 2)."""
+    out = io.StringIO()
+    args = ["shard-replay", "--shards", "12", "--boards-per-shard", "1",
+            "--jobs", "600", "--rate", "20"]
+    assert main(args, out=out) == 0
+    table = out.getvalue().split("\n\n")[0].splitlines()[3:]
+    assert [row.split()[0] for row in table] == [str(shard) for shard in range(12)]

@@ -261,3 +261,26 @@ def test_sessions_use_distinct_data_keys(service):
     bob_key = bob.data_owner.data_key(bob.shield_id).material
     assert alice_key != bob_key
     assert alice.shield_id != bob.shield_id
+
+
+def test_ledger_keeps_the_dma_bytes_in_fewer_transfers():
+    """Tags move as one block per region, so the ledger holds fewer entries
+    but exactly the bytes it held when each 16-byte tag was its own
+    transfer (totals recorded then: 40 writes, 5 reads)."""
+    service = ShieldCloudService(num_boards=1)
+    accel = VectorAddAccelerator(8 * 1024)
+    session = service.admit_tenant("fixed", accel)
+    job = service.submit_job(
+        session.session_id, inputs=accel.prepare_inputs(seed=51), output_regions={"c0": None}
+    )
+    service.run_until_idle()
+    assert job.state.name == "COMPLETED", job.error
+    moved: dict = {}
+    for obs in service.host_observations():
+        kind = obs.entry[0]
+        if kind.startswith("dma-"):
+            count, total = moved.get(kind, (0, 0))
+            moved[kind] = (count + 1, total + len(obs.entry[2]))
+    # Eight 4-chunk input regions (ciphertext + tag block each) and one
+    # downloaded output region.
+    assert moved == {"dma-write": (16, 16896), "dma-read": (2, 2112)}

@@ -130,3 +130,66 @@ def test_runtime_rejects_oversized_register_command(provisioned_shield):
 
     with pytest.raises(ShieldError):
         runtime.send_register_command(b"\x00" * 0x2000)
+
+
+def _record_transfers(shell) -> list:
+    transfers: list = []
+    shell.install_dma_tap(lambda kind, address, data: transfers.append((kind, address, len(data))))
+    return transfers
+
+
+def test_region_tags_move_in_one_transfer_each_way(provisioned_shield):
+    """A whole-region upload is one ciphertext and one tag-block transfer,
+    and a download reads its chunks' tags in one transfer too."""
+    harness = provisioned_shield
+    config = harness.shield_config
+    runtime = ShefHostRuntime(harness.board.shell, config)
+    transfers = _record_transfers(harness.board.shell)
+    input_region, output_region = config.region("input"), config.region("output")
+
+    plaintext = bytes((5 * i) % 256 for i in range(1024))  # 4 chunks of 256
+    staged = harness.data_owner.seal_input(config, "input", plaintext, shield_id=config.shield_id)
+    runtime.upload_region(staged)
+    assert transfers == [
+        ("write", input_region.base_address, 1024),
+        ("write", config.tag_address(input_region, 0), 4 * MAC_TAG_BYTES),
+    ]
+    assert harness.shield.memory_read(0, 1024) == plaintext
+
+    harness.shield.memory_write(4096, plaintext)
+    harness.shield.flush()
+    transfers.clear()
+    ciphertext, tags = runtime.download_region("output", num_chunks=3, offset_chunks=1)
+    assert transfers == [
+        ("read", output_region.base_address + 256, 768),
+        ("read", config.tag_address(output_region, 1), 3 * MAC_TAG_BYTES),
+    ]
+    assert [len(tag) for tag in tags] == [MAC_TAG_BYTES] * 3
+    chunks = harness.data_owner.sealed_chunks_from_device(
+        config, "output", ciphertext, tags, offset_chunks=1
+    )
+    recovered = harness.data_owner.unseal_output_with_versions(
+        config, "output", chunks, versions=[1, 1, 1], length=768, shield_id=config.shield_id
+    )
+    assert recovered == plaintext[256:]
+    assert (runtime.log.dma_writes, runtime.log.dma_reads) == (2, 2)
+    assert runtime.log.bytes_downloaded == 768 + 3 * MAC_TAG_BYTES
+
+
+def test_each_run_of_consecutive_chunks_is_one_tag_transfer(provisioned_shield):
+    harness = provisioned_shield
+    config = harness.shield_config
+    runtime = ShefHostRuntime(harness.board.shell, config)
+    region = config.region("input")
+    staged = harness.data_owner.seal_input(
+        config, "input", bytes(range(256)) * 5, shield_id=config.shield_id
+    )
+    chunks = staged.sealed_chunks
+    staged.sealed_chunks = [chunks[0], chunks[1], chunks[3], chunks[4]]
+    transfers = _record_transfers(harness.board.shell)
+    runtime.upload_region(staged)
+    assert transfers[1:] == [
+        ("write", config.tag_address(region, 0), 2 * MAC_TAG_BYTES),
+        ("write", config.tag_address(region, 3), 2 * MAC_TAG_BYTES),
+    ]
+    assert harness.board.shell.host_dma_read(config.tag_address(region, 3), MAC_TAG_BYTES) == chunks[3].tag
