@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.accelerators.base import Accelerator, AcceleratorResult, MemoryInterface
 from repro.core.config import RegisterInterfaceConfig, ShieldConfig
 from repro.core.timing import WorkloadProfile
-from repro.crypto.hashes import sha256
+from repro.crypto.fasthash import sha256
 from repro.errors import SimulationError
 
 HEADER_PREFIX_BYTES = 76

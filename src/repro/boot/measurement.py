@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.annotations import scalar_reference
-from repro.crypto.hashes import sha256
+from repro.crypto.fasthash import sha256
 
 
 def measure(data: bytes) -> bytes:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.crypto.mac import hmac_sha256
+from repro.crypto.fasthash import hmac_sha256
 from repro.errors import ReplayError, ShieldError
 from repro.hw.axi import AxiPort
 

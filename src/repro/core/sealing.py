@@ -33,7 +33,7 @@ from repro.analysis import sanitizer
 from repro.analysis.annotations import hot_path, scalar_reference, secret
 from repro.core.config import EngineSetConfig, RegionConfig
 from repro.core.engines import AesEngine, MacEngine, build_engines
-from repro.crypto.hashes import sha256
+from repro.crypto.fasthash import sha256
 from repro.crypto.kdf import derive_subkey
 from repro.errors import IntegrityError, ShieldError
 

@@ -1,10 +1,20 @@
 """Cryptographic substrate for the ShEF reproduction.
 
-Everything is implemented from scratch on top of the Python standard library:
-AES (plus ECB/CBC/CTR modes), SHA-256, HMAC/CMAC/PMAC, RSA, P-256 ECDSA/ECDH,
-HKDF, HMAC-DRBG, and an encrypt-then-MAC authenticated cipher.  These are the
-primitives that the simulated FPGA hardware, the secure-boot chain, the
-attestation protocol, and the Shield build upon.
+AES (plus ECB/CBC/CTR modes), CMAC/PMAC, RSA, P-256 ECDSA/ECDH, HKDF,
+HMAC-DRBG, and an encrypt-then-MAC authenticated cipher are implemented from
+scratch; they are the primitives that the simulated FPGA hardware, the
+secure-boot chain, the attestation protocol, and the Shield build upon.
+
+Which SHA-256 runs where:
+
+* :func:`sha256` and :func:`hmac_sha256` exported here are the stdlib-backed
+  ones from :mod:`repro.crypto.fasthash`; key generation, key derivation,
+  measurements and Merkle nodes hash with them;
+* the Shield's chunk MACs run on the numpy
+  :class:`~repro.crypto.fasthash.BatchedMac`;
+* the from-scratch :mod:`repro.crypto.hashes` and :mod:`repro.crypto.mac` are
+  byte-identical references that the parity suites compare against, and
+  :func:`compute_mac` still serves single-message HMAC tags from them.
 """
 
 from repro.crypto.aes import AES, BLOCK_SIZE
@@ -19,7 +29,7 @@ from repro.crypto.ecc import (
     ecdsa_verify,
     ecdsa_verify_strict,
 )
-from repro.crypto.hashes import SHA256, sha256, sha256_hex
+from repro.crypto.fasthash import hmac_sha256, sha256
 from repro.crypto.kdf import derive_subkey, hkdf
 from repro.crypto.keys import (
     AesDeviceKey,
@@ -38,7 +48,6 @@ from repro.crypto.mac import (
     aes_pmac,
     compute_mac,
     constant_time_equal,
-    hmac_sha256,
     verify_mac,
 )
 from repro.crypto.modes import (
@@ -75,9 +84,7 @@ __all__ = [
     "ecdsa_sign",
     "ecdsa_verify",
     "ecdsa_verify_strict",
-    "SHA256",
     "sha256",
-    "sha256_hex",
     "derive_subkey",
     "hkdf",
     "AesDeviceKey",

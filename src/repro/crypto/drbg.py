@@ -8,7 +8,7 @@ required for a simulator; determinism and statistical quality are.
 
 from __future__ import annotations
 
-from repro.crypto.mac import hmac_sha256
+from repro.crypto.fasthash import hmac_sha256
 
 
 class HmacDrbg:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.hashes import sha256
+from repro.crypto.fasthash import sha256
 from repro.crypto.kdf import hkdf
 from repro.errors import InvalidKeyError, SignatureError
 

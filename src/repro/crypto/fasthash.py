@@ -1,4 +1,11 @@
-"""Vectorized multi-message MACs: the Shield engines' batched MAC datapath.
+"""The product path's hashing: stdlib SHA-256/HMAC and the batched chunk MACs.
+
+Single messages -- key generation's HMAC-DRBG, HKDF sub-keys, the OAEP that
+wraps Load Keys, measurements, Merkle nodes -- hash with :func:`sha256` and
+:func:`hmac_sha256` on the standard library.  Chunk MACs run on
+:class:`BatchedMac` below.  The from-scratch :mod:`repro.crypto.hashes` and
+:mod:`repro.crypto.mac` are references that the parity suites compare both
+against.
 
 A per-chunk MAC over the pure-Python SHA-256 is the functional model's
 authentication bottleneck -- the same bottleneck the paper removes in
@@ -27,6 +34,8 @@ batched primitives are byte-identical to their scalar references in
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import struct
 
 import numpy as np
@@ -38,7 +47,28 @@ from repro.crypto.hashes import _INITIAL_STATE, _K
 from repro.crypto.mac import _cmac_subkeys, _double, hmac_key_pads
 from repro.errors import CryptoError
 
-__all__ = ["sha256_many_array", "BatchedMac"]
+__all__ = ["sha256", "hmac_sha256", "sha256_many_array", "BatchedMac"]
+
+
+def sha256(data: bytes) -> bytes:
+    """One-shot SHA-256 over ``hashlib``: the product path's digest.
+
+    This reverses the substrate's original rule of never using ``hashlib``,
+    for the product path only: :func:`repro.crypto.hashes.sha256` stays as
+    the from-scratch reference, and the two are byte-identical.
+    """
+    return hashlib.sha256(data).digest()
+
+
+def hmac_sha256(key: bytes, message: bytes) -> bytes:
+    """HMAC-SHA256 (RFC 2104) over ``hmac.digest``: the product path's MAC.
+
+    Like :func:`sha256`, this reverses the no-``hashlib`` rule for the
+    product path only: :func:`repro.crypto.mac.hmac_sha256` stays as the
+    from-scratch reference, and the two are byte-identical.
+    """
+    return hmac.digest(key, message, "sha256")
+
 
 _K_NP = np.array(_K, dtype=np.uint32)
 _STATE_NP = np.array(_INITIAL_STATE, dtype=np.uint32)

@@ -10,7 +10,7 @@ two engine sets never share an (IV, key) pair.
 from __future__ import annotations
 
 from repro.analysis.annotations import secret
-from repro.crypto.mac import hmac_sha256
+from repro.crypto.fasthash import hmac_sha256
 
 
 @secret

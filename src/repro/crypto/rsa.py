@@ -9,8 +9,10 @@ Keys into Load Keys -- is also an RSA key by default.
 Signing uses a simplified full-domain-hash padding (SHA-256 digest, fixed
 prefix, padded to the modulus size) and encryption uses a simplified OAEP
 construction with SHA-256 as the mask-generation hash.  Key sizes default to
-1024 bits so that pure-Python key generation stays fast inside the test suite;
-the construction is parameterized for larger moduli.
+1024 bits and the construction is parameterized for larger moduli.  Key
+generation draws its candidates from an HMAC-DRBG over the stdlib HMAC
+(:mod:`repro.crypto.fasthash`), so its cost is mostly the Miller-Rabin
+``pow`` calls.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.hashes import sha256
+from repro.crypto.fasthash import sha256
 from repro.errors import CryptoError, InvalidKeyError, SignatureError
 
 _SMALL_PRIMES = [

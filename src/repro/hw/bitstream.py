@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.crypto.aes import AES
-from repro.crypto.hashes import sha256
+from repro.crypto.fasthash import sha256
 from repro.crypto.kdf import derive_subkey
 from repro.crypto.mac import aes_cmac, constant_time_equal
 from repro.crypto.modes import ctr_transform

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.crypto import fasthash
 from repro.crypto.hashes import SHA256, sha256, sha256_hex, truncated_hash
 
 
@@ -30,6 +31,7 @@ def test_two_block_vector():
 def test_matches_hashlib_at_padding_boundaries(length):
     message = bytes((i * 13 + 7) % 256 for i in range(length))
     assert sha256(message) == hashlib.sha256(message).digest()
+    assert fasthash.sha256(message) == sha256(message)
 
 
 def test_incremental_update_equals_one_shot():

@@ -5,6 +5,7 @@ import hmac as std_hmac
 
 import pytest
 
+from repro.crypto import fasthash
 from repro.crypto.mac import (
     MAC_ALGORITHMS,
     MAC_TAG_SIZES,
@@ -39,6 +40,7 @@ def test_hmac_matches_stdlib_for_any_key_length(key_len):
     key = bytes(range(key_len % 256))[:key_len] or b""
     message = b"shield register command"
     assert hmac_sha256(key, message) == std_hmac.new(key, message, hashlib.sha256).digest()
+    assert fasthash.hmac_sha256(key, message) == hmac_sha256(key, message)
 
 
 def test_hmac_verify_accepts_and_rejects():
