@@ -15,6 +15,11 @@ hit-rate, throughput) lands in ``BENCH_shard.json``.
 
 ``SHARD_BENCH_JOBS`` / ``SHARD_BENCH_SHARDS`` shrink the trace for CI's
 quick-bench smoke.
+
+The gate's trace offers ~20x what the fleet clears, so its waits measure
+the backlog.  :func:`test_shard_qos_at_stated_offered_loads` records, with
+no gate, the modelled QoS of a 20k-job trace at stated offered loads
+instead.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import time
 
 from benchmarks.conftest import record_bench
 from repro.cloud import shard
-from repro.sim.cloud import CloudSimulator
+from repro.sim.cloud import DEFAULT_SHIELD_LOAD_SECONDS, CloudSimulator
 from repro.sim.traces import generate_trace
 
 NUM_JOBS = int(os.environ.get("SHARD_BENCH_JOBS", "100000"))
@@ -135,4 +140,50 @@ def test_shard_scale_replay_rate_gate(monkeypatch):
         f"sharded replay ran at {per_job_us:.2f} us/job end to end, only "
         f"{speedup:.1f}x the seed rate (need >= {MIN_SPEEDUP_VS_SEED}x of "
         f"{seed_per_job_us:.0f} us/job)"
+    )
+
+
+#: Offered loads, as a share of the fleet's cold-load capacity: every pooled
+#: profile models under 1 ms of execution, so a board clears about one cold
+#: job per DEFAULT_SHIELD_LOAD_SECONDS.
+QOS_OFFERED_LOADS = (0.5, 0.8, 0.95)
+QOS_JOBS = 20_000
+QOS_SHARDS = 8
+
+
+def test_shard_qos_at_stated_offered_loads():
+    """Modelled wait percentiles and hit-rate of a Poisson trace at each
+    offered load rho (rate = rho * boards / DEFAULT_SHIELD_LOAD_SECONDS), on
+    8 shards x 8 boards.  Recorded, not gated: these are modelled seconds,
+    and they move only when routing, policies or pricing change."""
+    boards = QOS_SHARDS * BOARDS_PER_SHARD
+    loads = {}
+    for rho in QOS_OFFERED_LOADS:
+        rate = rho * boards / DEFAULT_SHIELD_LOAD_SECONDS
+        trace = generate_trace(QOS_JOBS, seed=42, arrival="poisson", rate_jobs_per_s=rate)
+        report = shard.replay_sharded(
+            trace, num_shards=QOS_SHARDS, boards_per_shard=BOARDS_PER_SHARD
+        )
+        assert report.jobs == QOS_JOBS
+        p50, p99, p999 = (report.wait_percentile(q) for q in (50.0, 99.0, 99.9))
+        loads[str(rho)] = {
+            "rate_jobs_per_s": round(rate, 4),
+            "wait_p50_s": round(p50, 3),
+            "wait_p99_s": round(p99, 3),
+            "wait_p999_s": round(p999, 3),
+            "affinity_hit_rate": round(report.affinity_hit_rate, 4),
+        }
+        print(
+            f"\nrho={rho}: {rate:.2f} jobs/s, wait p50={p50:.2f}s p99={p99:.2f}s "
+            f"p999={p999:.2f}s, hit rate {report.affinity_hit_rate:.1%}"
+        )
+    record_bench(
+        "shard",
+        "qos_at_offered_load",
+        jobs=QOS_JOBS,
+        shards=QOS_SHARDS,
+        boards_per_shard=BOARDS_PER_SHARD,
+        arrival="poisson",
+        seed=42,
+        by_rho=loads,
     )

@@ -34,9 +34,12 @@ from repro.errors import SchedulingError
 class JobRequest(NamedTuple):
     """A policy's view of one queued job (no bytes, no Shield, no board).
 
-    A named tuple: immutable, and cheap enough to build positionally once per
-    replayed job.  Queues never compare two requests as tuples -- every heap
-    key ends in the unique ``seq``.
+    A named tuple: immutable, and cheap enough to build once per replayed
+    job.  The simulator's dispatch loop builds it as
+    ``tuple.__new__(JobRequest, (...))``, skipping the named tuple's
+    Python-level ``__new__``: the result is the same type and compares equal.
+    Queues never compare two requests as tuples -- every heap key ends in the
+    unique ``seq``.
     """
 
     key: str
@@ -124,11 +127,16 @@ class FifoPolicy(SchedulingPolicy):
         self._len += 1
 
     def pop(self, eligible=None) -> Optional[tuple]:
+        if eligible is None:
+            if not self._entries:
+                return None
+            self._len -= 1
+            return self._entries.popleft()
         skipped = []
         found = None
         while self._entries:
             entry = self._entries.popleft()
-            if eligible is not None and not eligible(entry[1]):
+            if not eligible(entry[1]):
                 skipped.append(entry)
                 continue
             found = entry
@@ -424,15 +432,21 @@ class BoardIndex:
     """Incrementally maintained free fleet + warm-affinity lookup.
 
     Every board that becomes free gets a monotonically increasing *stamp*
-    (its release order), the free fleet is a min-stamp heap (longest idle
-    first), and each session with warm residencies has its own min-stamp
-    heap of candidate boards.  ``place`` takes the session's longest-idle
-    warm board when affinity is preferred, else the longest-idle free board
-    -- which rotates load across the fleet like round-robin.
+    (its release order).  The free fleet is a deque in stamp order (longest
+    idle first), and each session with warm residencies has its own list of
+    candidate boards, consumed from the front.  Stamps are issued in
+    increasing order, so appending keeps every queue sorted and its front is
+    what a min-stamp heap would pop.  A session's list holds a few entries;
+    it stays a list because a one-entry deque costs ~5x the memory, and
+    sessions that never come back keep theirs.  ``place`` takes the
+    session's longest-idle warm board when affinity is preferred, else the
+    longest-idle free board -- which rotates load across the fleet like
+    round-robin.
 
-    Heaps are lazy: an entry is trusted only if the board is still free under
-    the same stamp (and, for warm entries, still resident for that session),
-    so ``evict`` and cross-session placement never have to search a heap.
+    Queues are lazy: an entry is trusted only if the board is still free
+    under the same stamp (and, for warm entries, still resident for that
+    session), so ``evict`` and cross-session placement never have to search
+    a queue.
     """
 
     def __init__(self, names: Sequence, resident: Optional[dict] = None):
@@ -441,7 +455,7 @@ class BoardIndex:
         self.resident = resident if resident is not None else {}
         self._next_stamp = 0
         self._free: dict = {}
-        self._free_heap: list = []
+        self._free_order: deque = deque()
         self._warm: dict = {}
         for name in names:
             self.resident.setdefault(name, None)
@@ -453,34 +467,32 @@ class BoardIndex:
     def release(self, name) -> None:
         """Return a board to the free pool at the back of the rotation."""
         stamp = self._next_stamp
-        self._next_stamp += 1
+        self._next_stamp = stamp + 1
         self._free[name] = stamp
-        heapq.heappush(self._free_heap, (stamp, name))
+        self._free_order.append((stamp, name))
         session = self.resident.get(name)
         if session is not None:
-            heapq.heappush(self._warm.setdefault(session, []), (stamp, name))
+            self._warm.setdefault(session, []).append((stamp, name))
 
     def place(self, session_id, prefer_affinity: bool = True):
         """Claim and return the board for a job of ``session_id``."""
+        free = self._free
         if prefer_affinity:
-            heap = self._warm.get(session_id)
-            while heap:
-                stamp, name = heap[0]
-                if (
-                    self._free.get(name) == stamp
-                    and self.resident.get(name) == session_id
-                ):
-                    heapq.heappop(heap)
-                    if not heap:
-                        del self._warm[session_id]
-                    del self._free[name]
-                    return name
-                heapq.heappop(heap)
-            if heap is not None and not heap:
-                self._warm.pop(session_id, None)
-        while self._free_heap:
-            stamp, name = heapq.heappop(self._free_heap)
-            if self._free.get(name) == stamp:
-                del self._free[name]
+            warm = self._warm.get(session_id)
+            if warm is not None:
+                resident = self.resident
+                while warm:
+                    stamp, name = warm.pop(0)
+                    if free.get(name) == stamp and resident.get(name) == session_id:
+                        if not warm:
+                            del self._warm[session_id]
+                        del free[name]
+                        return name
+                del self._warm[session_id]
+        order = self._free_order
+        while order:
+            stamp, name = order.popleft()
+            if free.get(name) == stamp:
+                del free[name]
                 return name
         raise SchedulingError("place() needs at least one available board")

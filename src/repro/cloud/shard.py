@@ -34,7 +34,7 @@ import bisect
 import hashlib
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -79,14 +79,33 @@ def _natural_order(shard_id) -> tuple:
     return [int(part) if index % 2 else part for index, part in enumerate(parts)], text
 
 
+@lru_cache(maxsize=16)
+def _vnode_ring(tokens: tuple) -> tuple:
+    """The ring of the shards named ``tokens`` (``str`` of each id, in the
+    router's order): sorted vnode positions and, in a parallel tuple, the
+    index in ``tokens`` of the shard owning each.
+
+    Memoised per shard set, so a fresh router per replay reuses the ring
+    instead of hashing ``DEFAULT_VNODES`` points per shard again.  Tuples,
+    because every router of the set shares them.
+    """
+    ring = sorted(
+        (_ring_hash(f"{token}#{i}"), index)
+        for index, token in enumerate(tokens)
+        for i in range(DEFAULT_VNODES)
+    )
+    return tuple(position for position, _ in ring), tuple(index for _, index in ring)
+
+
 class ShardRouter:
     """Consistent-hash ring with virtual nodes over a fixed set of shards.
 
-    The ring is built once: every shard contributes :data:`DEFAULT_VNODES`
-    points, and a session belongs to the first point clockwise from its own
-    hash, so all of a session's jobs land on one shard and warm-Shield
-    affinity stays a shard-local property.  ``route(session)`` is the
-    serving-path entry point; it memoises each session's shard, so repeated
+    Every shard contributes :data:`DEFAULT_VNODES` points, and a session
+    belongs to the first point clockwise from its own hash, so all of a
+    session's jobs land on one shard and warm-Shield affinity stays a
+    shard-local property.  The ring is built once per shard set and shared
+    by every router over that set.  ``route(session)`` is the serving-path
+    entry point; each router memoises each session's shard, so repeated
     lookups of a hot session skip the hash and the binary search.
     """
 
@@ -95,14 +114,10 @@ class ShardRouter:
         if not shard_ids:
             raise ShardingError("a shard router needs at least one shard")
         self._shards = sorted(set(shard_ids), key=_natural_order)
-        ring = sorted(
-            (_ring_hash(f"{shard_id}#{i}"), shard_id)
-            for shard_id in self._shards
-            for i in range(DEFAULT_VNODES)
+        #: Sorted vnode positions and the index of the shard owning each.
+        self._ring_keys, self._ring_owners = _vnode_ring(
+            tuple(str(shard_id) for shard_id in self._shards)
         )
-        #: Sorted vnode positions and the shard owning each (parallel lists).
-        self._ring_keys = [position for position, _ in ring]
-        self._ring_shards = [shard_id for _, shard_id in ring]
         #: session id -> shard, filled in as sessions are first routed.
         self._assignments: dict = {}
 
@@ -112,7 +127,7 @@ class ShardRouter:
         shard = self._assignments.get(session_id)
         if shard is None:
             index = bisect.bisect_right(self._ring_keys, _ring_hash(session_id))
-            shard = self._ring_shards[index % len(self._ring_keys)]
+            shard = self._shards[self._ring_owners[index % len(self._ring_keys)]]
             self._assignments[session_id] = shard
         return shard
 

@@ -321,7 +321,9 @@ class CloudSimulator:
         the job's profile, priced once per profile-table entry.  Arrival
         order is a stable sort, so ties keep trace order.  Lists, because the
         dispatch loop reads one element at a time, which is slow on numpy
-        arrays.
+        arrays.  The loop builds each job's :class:`JobRequest` from these
+        lists when the job arrives, so only queued jobs hold one; a list of
+        every request built up front would raise peak memory with the trace.
         """
         order = np.argsort(trace.arrival, kind="stable")
         prices = np.array(
@@ -366,12 +368,18 @@ class CloudSimulator:
         next_arrival = 0
         resident: dict = {}
         boards = BoardIndex(range(self.num_boards), resident=resident)
+        place, release = boards.place, boards.release
         free_boards = self.num_boards
         queued = 0
         busy: list = []  # (finish_s, board) min-heap
+        heappush, heappop = heapq.heappush, heapq.heappop
+        # Builds a JobRequest without the named tuple's Python-level
+        # __new__: the same type and an equal value, in under half the time.
+        new_request = tuple.__new__
         admitted: set = set()
         # Aggregates (always accumulated -- they are three ops per job).
         waits: list = []
+        add_wait = waits.append
         board_busy: dict = {}
         warm_hits = 0
         now = 0.0
@@ -389,7 +397,7 @@ class CloudSimulator:
                     )
                 row = order[next_arrival]
                 push(
-                    JobRequest(
+                    new_request(JobRequest, (
                         f"trace-{row}",
                         tenants[next_arrival],
                         session,
@@ -397,7 +405,7 @@ class CloudSimulator:
                         priorities[next_arrival],
                         weights[next_arrival],
                         costs[next_arrival],
-                    ),
+                    )),
                     row,
                 )
                 queued += 1
@@ -407,11 +415,11 @@ class CloudSimulator:
                 free_boards -= 1
                 request, row = pop()
                 session = request.session_id
-                board = boards.place(session, affinity)
+                board = place(session, affinity)
                 warm = affinity and resident[board] == session
                 load = 0.0 if warm else load_cost
                 finish = now + load + request.cost_estimate
-                heapq.heappush(busy, (finish, board))
+                heappush(busy, (finish, board))
                 resident[board] = session if affinity else None
                 arrival = arrivals[request.seq]
                 if traced:
@@ -420,7 +428,7 @@ class CloudSimulator:
                     )
                 if warm:
                     warm_hits += 1
-                waits.append(now - arrival)
+                add_wait(now - arrival)
                 board_busy[board] = board_busy.get(board, 0.0) + (finish - now)
                 if rows is not None:
                     rows.append((row, board, now, finish, warm, load))
@@ -436,7 +444,7 @@ class CloudSimulator:
                 break
             now = frontier
             while busy and busy[0][0] <= now:
-                boards.release(heapq.heappop(busy)[1])
+                release(heappop(busy)[1])
                 free_boards += 1
         return ReplayStats(
             jobs=len(waits),

@@ -87,7 +87,9 @@ def generate_trace(
     weighted-fair policies see real differentiation (a trace where every job
     is identical cannot distinguish policies -- the bug the seed's
     ``BENCH_sched.json`` policy table had).  Session ``k`` of tenant ``t``
-    is row ``t * sessions_per_tenant + k`` of the session table.
+    is row ``t * sessions_per_tenant + k`` of the session table.  Every
+    size must be at least 1 and the pool non-empty; otherwise
+    :class:`~repro.errors.SimulationError` is raised.
     """
     if num_jobs < 1:
         raise SimulationError("a generated trace needs at least one job")
@@ -99,8 +101,14 @@ def generate_trace(
         raise SimulationError("rate_jobs_per_s must be positive")
     if not 0 <= diurnal_amplitude < 1:
         raise SimulationError("diurnal_amplitude must be in [0, 1)")
-    rng = random.Random(seed)
+    if min(num_tenants, sessions_per_tenant, priority_levels) < 1:
+        raise SimulationError(
+            "num_tenants, sessions_per_tenant and priority_levels must be at least 1"
+        )
     pool = tuple(profile_pool if profile_pool is not None else default_profile_pool())
+    if not pool:
+        raise SimulationError("profile_pool needs at least one (profile, config) pair")
+    rng = random.Random(seed)
     tenants = tuple(f"tenant-{index:04d}" for index in range(num_tenants))
     sessions = tuple(
         f"{tenant}-s{index}" for tenant in tenants for index in range(sessions_per_tenant)
@@ -111,31 +119,54 @@ def generate_trace(
     # Mean inter-arrival of the Pareto renewal process is scale * a/(a-1);
     # solve for scale so the heavy-tailed trace matches the Poisson mean rate.
     pareto_scale = (PARETO_ALPHA - 1.0) / (PARETO_ALPHA * rate_jobs_per_s)
+    pareto_exponent = -1.0 / PARETO_ALPHA
     two_pi_over_period = 2.0 * math.pi / DIURNAL_PERIOD_S
-    randrange = rng.randrange
+    # The loop calls random() and getrandbits() itself, restating CPython's
+    # expovariate, paretovariate and randrange(n) draw for draw, at half the
+    # interpreter work per job:
+    #   expovariate(rate) = -log(1.0 - random()) / rate
+    #   paretovariate(a)  = (1.0 - random()) ** (-1.0 / a)
+    #   randrange(n)      = getrandbits(n.bit_length()), drawn again while >= n
+    # math.log, as CPython uses: np.log rounds some values differently.  The
+    # goldens in tests/sim/test_traces.py pin every stream.
+    uniform, getrandbits = rng.random, rng.getrandbits
+    log, bisect_left = math.log, bisect.bisect_left
     num_profiles = len(pool)
+    profile_bits = num_profiles.bit_length()
+    session_bits = sessions_per_tenant.bit_length()
+    priority_bits = priority_levels.bit_length()
+    poisson, diurnal = arrival == "poisson", arrival == "diurnal"
     now = 0.0
     arrivals, tenant, session, profile, priority = [], [], [], [], []
     for _ in range(num_jobs):
-        if arrival == "poisson":
-            now += rng.expovariate(rate_jobs_per_s)
-        elif arrival == "diurnal":
+        if poisson:
+            now += -log(1.0 - uniform()) / rate_jobs_per_s
+        elif diurnal:
             # Inhomogeneous Poisson via local-rate exponentials: accurate as
             # long as inter-arrivals are short against the 24 h period.
             local_rate = rate_jobs_per_s * (
                 1.0 + diurnal_amplitude * math.sin(two_pi_over_period * now)
             )
-            now += rng.expovariate(local_rate)
+            now += -log(1.0 - uniform()) / local_rate
         else:  # heavy_tailed
-            now += pareto_scale * rng.paretovariate(PARETO_ALPHA)
-        tenant_index = bisect.bisect_left(zipf, rng.random() * zipf_total)
+            now += pareto_scale * (1.0 - uniform()) ** pareto_exponent
+        tenant_index = bisect_left(zipf, uniform() * zipf_total)
         # The draws keep their historical order -- profile, session,
         # priority -- so a seed gives the same jobs it always gave.
+        drawn_profile = getrandbits(profile_bits)
+        while drawn_profile >= num_profiles:
+            drawn_profile = getrandbits(profile_bits)
+        drawn_session = getrandbits(session_bits)
+        while drawn_session >= sessions_per_tenant:
+            drawn_session = getrandbits(session_bits)
+        drawn_priority = getrandbits(priority_bits)
+        while drawn_priority >= priority_levels:
+            drawn_priority = getrandbits(priority_bits)
         arrivals.append(now)
         tenant.append(tenant_index)
-        profile.append(randrange(num_profiles))
-        session.append(tenant_index * sessions_per_tenant + randrange(sessions_per_tenant))
-        priority.append(randrange(priority_levels))
+        profile.append(drawn_profile)
+        session.append(tenant_index * sessions_per_tenant + drawn_session)
+        priority.append(drawn_priority)
     tenant_column = np.array(tenant, dtype=np.int32)
     return Trace(
         arrival=np.array(arrivals, dtype=np.float64),

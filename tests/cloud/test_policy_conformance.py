@@ -22,6 +22,8 @@ drift.
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
 
 from repro.accelerators import (
@@ -30,7 +32,8 @@ from repro.accelerators import (
     VectorAddAccelerator,
 )
 from repro.cloud import JobState, ShieldCloudService
-from repro.cloud.policies import POLICY_NAMES
+from repro.cloud.policies import POLICY_NAMES, BoardIndex, FifoPolicy
+from repro.errors import SchedulingError
 from repro.sim.cloud import CloudSimulator, TraceEvent
 
 #: (tenant, input seed, priority) -- a deliberately adversarial interleaving:
@@ -336,3 +339,137 @@ def test_indexed_queue_matches_linear_scan_on_randomized_queues(policy):
             reference = linear.pop()
             assert picked is not None and picked[0] == reference[0]
         assert indexed.pop() is None and linear.pop() is None
+
+
+def test_fifo_unfiltered_pop_matches_an_always_true_filter():
+    """``pop()`` takes the deque's left end directly; ``pop(eligible)``
+    walks it.  With a filter that admits every job the two must return the
+    same stream, out-of-order pushes, cancellations and an empty queue
+    included."""
+    import random
+
+    rng = random.Random(2029)
+    direct, filtered = FifoPolicy(), FifoPolicy()
+    seqs = list(range(400))
+    rng.shuffle(seqs)
+    for seq in seqs:
+        if rng.random() < 0.6:
+            request = _random_request(rng, seq)
+            direct.push(request, seq)
+            filtered.push(request, seq)
+        elif rng.random() < 0.9:
+            assert direct.pop() == filtered.pop(lambda _: True)
+        else:
+            doomed = seq % 7
+            assert direct.remove(lambda row, d=doomed: row % 7 == d) == filtered.remove(
+                lambda row, d=doomed: row % 7 == d
+            )
+        assert len(direct) == len(filtered)
+    while len(filtered):
+        assert direct.pop() == filtered.pop(lambda _: True)
+    assert direct.pop() is None and filtered.pop(lambda _: True) is None
+    assert len(direct) == 0
+
+
+# ---------------------------------------------------------------------------
+# Board index on deques <-> min-stamp heaps
+# ---------------------------------------------------------------------------
+
+
+class _HeapBoardIndex:
+    """The reference :class:`~repro.cloud.policies.BoardIndex` must match:
+    the free fleet and each session's warm candidates in min-stamp heaps,
+    trusted lazily (an entry counts only while its board is free under the
+    same stamp and, for a warm entry, still resident for that session)."""
+
+    def __init__(self, names, resident):
+        self.resident = resident
+        self._next_stamp = 0
+        self._free: dict = {}
+        self._free_heap: list = []
+        self._warm: dict = {}
+        for name in names:
+            self.resident.setdefault(name, None)
+            self.release(name)
+
+    def __len__(self) -> int:
+        return len(self._free)
+
+    def release(self, name) -> None:
+        stamp = self._next_stamp
+        self._next_stamp += 1
+        self._free[name] = stamp
+        heapq.heappush(self._free_heap, (stamp, name))
+        session = self.resident.get(name)
+        if session is not None:
+            heapq.heappush(self._warm.setdefault(session, []), (stamp, name))
+
+    def place(self, session_id, prefer_affinity: bool = True):
+        if prefer_affinity:
+            heap = self._warm.get(session_id)
+            while heap:
+                stamp, name = heap[0]
+                if self._free.get(name) == stamp and self.resident.get(name) == session_id:
+                    heapq.heappop(heap)
+                    if not heap:
+                        del self._warm[session_id]
+                    del self._free[name]
+                    return name
+                heapq.heappop(heap)
+            if heap is not None and not heap:
+                self._warm.pop(session_id, None)
+        while self._free_heap:
+            stamp, name = heapq.heappop(self._free_heap)
+            if self._free.get(name) == stamp:
+                del self._free[name]
+                return name
+        raise SchedulingError("place() needs at least one available board")
+
+
+def _placed(index, session, affinity):
+    """``index.place``'s board, or the type of the error it raised."""
+    try:
+        return index.place(session, affinity)
+    except SchedulingError as error:
+        return type(error)
+
+
+def test_board_index_matches_heap_reference_on_randomized_streams():
+    """The deque :class:`~repro.cloud.policies.BoardIndex` and the heap
+    reference run the same seeded stream and must agree on every pick, every
+    error and every free count.  The stream writes residency the way both
+    consumers do: the simulator right after ``place``, ``FleetScheduler``
+    at ``release`` (kept warm only on success) and in ``evict`` (any board,
+    busy or free)."""
+    import random
+
+    for trial in range(12):
+        rng = random.Random(4099 + trial)
+        names = [f"board-{index}" for index in range(rng.randint(1, 6))]
+        sessions = [f"session-{index}" for index in range(rng.randint(1, 5))]
+        initial = {name: rng.choice([None, *sessions]) for name in names}
+        indexes = (BoardIndex(names, resident=dict(initial)), _HeapBoardIndex(names, dict(initial)))
+        busy: list = []
+        for _ in range(600):
+            action = rng.random()
+            if action < 0.45 or not busy:
+                session = rng.choice(sessions)
+                affinity = rng.random() < 0.8
+                picks = [_placed(index, session, affinity) for index in indexes]
+                assert picks[0] == picks[1], (trial, session, affinity)
+                if isinstance(picks[0], str):
+                    busy.append((picks[0], session))
+                    if rng.random() < 0.5:
+                        for index in indexes:
+                            index.resident[picks[0]] = session
+            elif action < 0.85:
+                board, session = busy.pop(rng.randrange(len(busy)))
+                kept = session if rng.random() < 0.7 else None
+                for index in indexes:
+                    index.resident[board] = kept
+                    index.release(board)
+            else:
+                board = rng.choice(names)
+                for index in indexes:
+                    index.resident[board] = None
+            assert len(indexes[0]) == len(indexes[1]) == len(names) - len(busy)

@@ -3,6 +3,10 @@ the columnar layout's memory, and hand-written traces in the same form."""
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -13,6 +17,8 @@ from repro.errors import SimulationError
 from repro.sim.cloud import CloudSimulator, Trace, TraceEvent
 from repro.sim.traces import (
     ARRIVAL_PROCESSES,
+    DIURNAL_PERIOD_S,
+    PARETO_ALPHA,
     default_profile_pool,
     generate_trace,
 )
@@ -89,6 +95,18 @@ def test_generator_rejects_bad_parameters():
         generate_trace(10, rate_jobs_per_s=0.0)
     with pytest.raises(SimulationError):
         generate_trace(10, arrival="diurnal", diurnal_amplitude=1.0)
+    # Empty draw ranges: randrange(0) raised ValueError and an empty Zipf
+    # table IndexError from inside the loop; a getrandbits(0) draw would
+    # never leave its rejection loop.
+    for shape in (
+        {"num_tenants": 0},
+        {"sessions_per_tenant": 0},
+        {"sessions_per_tenant": -2},
+        {"priority_levels": 0},
+        {"profile_pool": []},
+    ):
+        with pytest.raises(SimulationError):
+            generate_trace(10, **shape)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +139,110 @@ def test_session_rows_follow_tenants_under_custom_shapes():
     )
     assert len(trace.sessions) == 37 * 3
     assert rows_digest(job_rows(trace, pool)) == "ed81963fd9b770a7b1a192885735845b"
+
+
+#: ``generate_trace`` keywords at the edges of the restated ``randrange``
+#: draws: a 1-wide range still draws one bit and rejects half the words, a
+#: power-of-two range never rejects, and a 1-entry pool draws for nothing.
+#: ``pool_size`` takes the first entries of two default pools (distinct
+#: objects), so the digest tells every pool index apart.
+EDGE_SHAPES = {
+    "one-priority": {"priority_levels": 1},
+    "one-session": {"sessions_per_tenant": 1},
+    "powers-of-two": {"priority_levels": 8, "sessions_per_tenant": 2},
+    "one-profile": {"pool_size": 1},
+    "five-profiles": {"pool_size": 5},
+    "one-tenant": {"num_tenants": 1},
+}
+
+#: Digests of ``generate_trace(2000, seed=23, ...)`` at each edge shape,
+#: recorded when the generator called ``expovariate``, ``paretovariate`` and
+#: ``randrange`` itself.  They also catch a change in CPython's ``random``.
+GOLDEN_EDGE_STREAMS = {
+    "one-priority": {
+        "poisson": "c27aaf62a85aafd876cddaa6a035518c",
+        "diurnal": "02ac19a143278c01d29e01278f55869b",
+        "heavy_tailed": "d42f964d22ba317ea5d6b840199a60a7",
+    },
+    "one-session": {
+        "poisson": "4560e195bf7e78a440d4006abbb45c59",
+        "diurnal": "473692a091c748f7e9bf68e6fa139fe9",
+        "heavy_tailed": "2e20510d26854b60e53a68866a726d66",
+    },
+    "powers-of-two": {
+        "poisson": "7e18c94b24382102b9deeb1b71150c88",
+        "diurnal": "cffce4ec4dc6c05e6e77e654808b2ff7",
+        "heavy_tailed": "f8015724bd3cc64afbfd253d79d7d2ce",
+    },
+    "one-profile": {
+        "poisson": "ddb691d3abff64061c78b0f377888fe9",
+        "diurnal": "1f83d9fbcb84d7c1b593d0d046ffd5e4",
+        "heavy_tailed": "2c6e81cd6034051f15ad791ccffcf1e7",
+    },
+    "five-profiles": {
+        "poisson": "03d58ecc04b881896bc2413d9b5cc680",
+        "diurnal": "aa01beb7d4f81259e966e62b0d8020b3",
+        "heavy_tailed": "07e349a6f2460534a2371d4b7dacdac4",
+    },
+    "one-tenant": {
+        "poisson": "d54a20cd45b5fce6ee08664c6248b3dc",
+        "diurnal": "aa3ff484744b08b039eaf1a05db7e7ea",
+        "heavy_tailed": "4410c26c1afa2739d099c621233d57b9",
+    },
+}
+
+
+@pytest.mark.parametrize("arrival", ARRIVAL_PROCESSES)
+@pytest.mark.parametrize("shape", list(EDGE_SHAPES))
+def test_edge_shapes_match_golden_streams(shape, arrival):
+    keywords = dict(EDGE_SHAPES[shape])
+    pool = (default_profile_pool() + default_profile_pool())[: keywords.pop("pool_size", 3)]
+    trace = generate_trace(2000, seed=23, arrival=arrival, profile_pool=pool, **keywords)
+    assert rows_digest(job_rows(trace, pool)) == GOLDEN_EDGE_STREAMS[shape][arrival]
+
+
+def _reference_draws(num_jobs, seed, arrival, rate, num_tenants, sessions, priorities, pool_size):
+    """``(arrival_s, tenant, profile, session, priority)`` per job, drawn
+    through ``random``'s own ``expovariate``, ``paretovariate`` and
+    ``randrange``: the generator before it restated them."""
+    rng = random.Random(seed)
+    zipf = list(itertools.accumulate(1.0 / rank**1.1 for rank in range(1, num_tenants + 1)))
+    pareto_scale = (PARETO_ALPHA - 1.0) / (PARETO_ALPHA * rate)
+    two_pi_over_period = 2.0 * math.pi / DIURNAL_PERIOD_S
+    now, rows = 0.0, []
+    for _ in range(num_jobs):
+        if arrival == "poisson":
+            now += rng.expovariate(rate)
+        elif arrival == "diurnal":
+            now += rng.expovariate(rate * (1.0 + 0.8 * math.sin(two_pi_over_period * now)))
+        else:
+            now += pareto_scale * rng.paretovariate(PARETO_ALPHA)
+        tenant = bisect.bisect_left(zipf, rng.random() * zipf[-1])
+        profile = rng.randrange(pool_size)
+        session = tenant * sessions + rng.randrange(sessions)
+        rows.append((now, tenant, profile, session, rng.randrange(priorities)))
+    return rows
+
+
+def test_direct_draws_match_the_random_module_on_random_shapes():
+    """Beyond the goldens' fixed shapes: any sizes give the jobs that
+    ``random``'s distribution calls give, on the running Python."""
+    pool = default_profile_pool() * 3
+    shapes = random.Random(31)
+    for trial in range(24):
+        arrival = ARRIVAL_PROCESSES[trial % 3]
+        num_tenants, sessions = shapes.randint(1, 40), shapes.randint(1, 9)
+        priorities, pool_size = shapes.randint(1, 17), shapes.randint(1, len(pool))
+        rate = shapes.uniform(0.5, 200.0)
+        trace = generate_trace(
+            500, seed=trial, arrival=arrival, rate_jobs_per_s=rate,
+            num_tenants=num_tenants, sessions_per_tenant=sessions,
+            priority_levels=priorities, profile_pool=pool[:pool_size],
+        )
+        columns = (trace.arrival, trace.tenant, trace.profile, trace.session, trace.priority)
+        assert list(zip(*(column.tolist() for column in columns))) == _reference_draws(
+            500, trial, arrival, rate, num_tenants, sessions, priorities, pool_size
+        ), (trial, arrival, num_tenants, sessions, priorities, pool_size)
 
 
 def test_generated_trace_retains_at_most_40_bytes_per_job():
